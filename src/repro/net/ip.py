@@ -10,6 +10,7 @@ delegation registry, and deterministic address enumeration.
 from __future__ import annotations
 
 import ipaddress
+from socket import AF_INET, inet_pton
 from typing import Iterator
 
 IPv4Address = ipaddress.IPv4Address
@@ -32,10 +33,29 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
     """
     if isinstance(text, IPv4Address):
         return text
+    addr = strict_address_int(text)
+    if addr is not None:
+        return IPv4Address(addr)
     try:
         return ipaddress.IPv4Address(text)
     except (ValueError, OverflowError, TypeError) as exc:
         raise ValueError(f"not an IPv4 address: {text!r}") from exc
+
+
+def strict_address_int(text: object) -> int | None:
+    """The integer of a strict dotted-quad string, or ``None``.
+
+    ``socket.inet_pton`` parses the common case about ten times faster
+    than :mod:`ipaddress` and accepts a subset of what it accepts (four
+    decimal octets, no leading zeros, nothing around them), always to the
+    same value.  ``None`` means "not in that subset" — not "invalid":
+    callers fall back to :func:`parse_address` for integers, address
+    objects and the exact rejection message.
+    """
+    try:
+        return int.from_bytes(inet_pton(AF_INET, text), "big")
+    except (OSError, ValueError, TypeError):
+        return None
 
 
 def parse_network(text: str | IPv4Network, *, strict: bool = True) -> IPv4Network:

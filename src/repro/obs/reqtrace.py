@@ -26,9 +26,9 @@ squat the ring forever.
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 import time
-import uuid
 from typing import Any
 
 __all__ = [
@@ -51,8 +51,12 @@ DEFAULT_MAX_AGE_S = 600.0
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char request id (collision-safe at ring scale)."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char request id (collision-safe at ring scale).
+
+    The same 64 bits from the same entropy source as a truncated
+    ``uuid4``, without building the UUID object.
+    """
+    return os.urandom(8).hex()
 
 
 class SpanRecord:
@@ -228,7 +232,7 @@ class RequestTrace:
 class TraceRing:
     """The N slowest recent finished traces, bounded and thread-safe."""
 
-    __slots__ = ("capacity", "max_age_s", "_heap", "_seq", "_lock")
+    __slots__ = ("capacity", "max_age_s", "_heap", "_seq", "_oldest", "_lock")
 
     def __init__(
         self,
@@ -244,15 +248,23 @@ class TraceRing:
         #: trace sits at the root, ready to be displaced.
         self._heap: list[tuple[float, int, RequestTrace]] = []
         self._seq = 0
+        #: A lower bound on the retained traces' monotonic start times:
+        #: nothing can be stale until this is, so the common call checks
+        #: one float instead of every entry's age.
+        self._oldest = float("inf")
         self._lock = threading.Lock()
 
     def _evict_stale(self) -> None:
-        # Called under the lock; the ring is tiny, a full filter is fine.
-        if any(t.age_s > self.max_age_s for _, _, t in self._heap):
-            self._heap = [
-                entry for entry in self._heap if entry[2].age_s <= self.max_age_s
-            ]
-            heapq.heapify(self._heap)
+        # Called under the lock.  Displaced entries may leave _oldest
+        # too low; that costs one needless filter, which resets it.
+        cutoff = time.monotonic() - self.max_age_s
+        if self._oldest >= cutoff:
+            return
+        self._heap = [entry for entry in self._heap if entry[2]._mono >= cutoff]
+        heapq.heapify(self._heap)
+        self._oldest = min(
+            (entry[2]._mono for entry in self._heap), default=float("inf")
+        )
 
     def record(self, trace: RequestTrace) -> None:
         """Offer a finished trace; kept only if it is among the slowest."""
@@ -265,6 +277,10 @@ class TraceRing:
                 heapq.heappush(self._heap, entry)
             elif duration > self._heap[0][0]:
                 heapq.heapreplace(self._heap, entry)
+            else:
+                return
+            if trace._mono < self._oldest:
+                self._oldest = trace._mono
 
     def slowest(self) -> list[dict[str, Any]]:
         """Retained traces as span trees, slowest first."""
@@ -277,6 +293,7 @@ class TraceRing:
         """Drop every retained trace."""
         with self._lock:
             self._heap.clear()
+            self._oldest = float("inf")
 
     def __len__(self) -> int:
         with self._lock:

@@ -35,7 +35,11 @@ injector is armed (the injector's fault gates live in the per-vendor
 probe wrappers, so a chaos engine must run the live path for faults to
 fire at all); the moment anything degrades, requests fall back to the
 live per-vendor resolve path above — the fail-closed contract is
-untouched, it just stops being paid for when nothing is broken.
+untouched, it just stops being paid for when nothing is broken.  An
+outcome read from the plane carries its cell, so :meth:`ServingEngine.\
+consensus_of` (the enrichment pipeline's path) returns the compile-time
+vote rather than re-running it, and :meth:`ServingEngine.plane_cell`
+hands the HTTP layer the cell itself for its spliced ``/lookup`` body.
 
 Since PR 8 every piece of state a lookup touches — indexes, cache,
 plane, per-vendor health — lives inside one :class:`_Generation`
@@ -246,6 +250,10 @@ class LookupOutcome:
     quarantined: tuple[str, ...] = ()
     skipped: tuple[str, ...] = ()
     deadline_exceeded: bool = False
+    #: The answer-plane cell this outcome was read from (plane path only;
+    #: cached and live outcomes keep ``None``).  It lets
+    #: :meth:`ServingEngine.consensus_of` reuse the compile-time vote.
+    cell: object = field(default=None, compare=False, repr=False)
 
     @property
     def degraded(self) -> bool:
@@ -283,6 +291,20 @@ class ConsensusAnswer:
     city_disagreement: bool
     degraded: bool = False
     quorum: bool = True
+
+
+def _traced_probe(gen: _Generation, plane, addr: int, trace):
+    """The plane cell for ``addr``, recorded as a ``plane.probe`` span."""
+    started = time.perf_counter()
+    answer, interval = plane.locate(addr)
+    trace.add(
+        "plane.probe",
+        (time.perf_counter() - started) * 1000.0,
+        interval=interval,
+        generation=gen.gen_id,
+    )
+    trace.note_path("plane")
+    return answer
 
 
 class ServingEngine:
@@ -647,6 +669,7 @@ class ServingEngine:
         return {
             "active": gen.plane_live is not None and gen.healthy,
             **plane.stats(),
+            "rendered": plane.rendered_count,
         }
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:
@@ -876,16 +899,7 @@ class ServingEngine:
             if cell is not None:
                 cell.add()
             if trace is not None:
-                started = time.perf_counter()
-                answer, interval = plane.locate(addr)
-                trace.add(
-                    "plane.probe",
-                    (time.perf_counter() - started) * 1000.0,
-                    interval=interval,
-                    generation=gen.gen_id,
-                )
-                trace.note_path("plane")
-                return answer.outcome_at(parsed)
+                return _traced_probe(gen, plane, addr, trace).outcome_at(parsed)
             return plane.probe(addr).outcome_at(parsed)
         if metrics is not None:
             metrics.inc("serve.lookups")
@@ -915,6 +929,30 @@ class ServingEngine:
         if cache is not None and not outcome.degraded:
             cache.put(addr, outcome)
         return outcome
+
+    def plane_cell(self, addr: int, *, trace=None):
+        """``(plane, cell)`` for a pre-validated address integer, or
+        ``None`` when the plane cannot answer.
+
+        The HTTP ``/lookup`` hot path: one bisect, counted as one lookup
+        *and* one consensus (a single cell add, exactly what
+        :meth:`lookup_outcome` plus :meth:`consensus_of` would count),
+        traced like :meth:`lookup_outcome`.  The plane comes back with
+        the cell because both were read from one generation — a caller
+        memoising per-cell output must key it on that plane.  ``None``
+        means no plane, an armed fault injector, or a degraded vendor;
+        the caller then takes :meth:`lookup_outcome`.
+        """
+        gen = self._gen
+        plane = gen.plane_live
+        if plane is None or not gen.healthy:
+            return None
+        counter = self._cell_plane_consensus
+        if counter is not None:
+            counter.add()
+        if trace is not None:
+            return plane, _traced_probe(gen, plane, addr, trace)
+        return plane, plane.probe(addr)
 
     def lookup_plane(self, address: IPv4Address | str | int):
         """The precomputed :class:`~repro.serve.plane.PlaneAnswer` for
@@ -1052,9 +1090,18 @@ class ServingEngine:
 
     def consensus_of(self, outcome: LookupOutcome) -> ConsensusAnswer:
         """Majority answer plus disagreement/degradation flags for an
-        already-resolved outcome (no second lookup pass)."""
+        already-resolved outcome (no second lookup pass).
+
+        An outcome read from the answer plane carries its cell, whose
+        vote was tallied at compile time; that vote is returned as is.
+        The cell comes from the same lookup, so it belongs to the
+        generation that produced ``outcome`` even across a swap.
+        """
         if self._metrics is not None:
             self._metrics.inc("serve.consensus")
+        cell = outcome.cell
+        if cell is not None:
+            return cell.consensus_at(outcome.address)
         records = [
             answer.record
             for answer in outcome.answers.values()

@@ -14,21 +14,38 @@ Endpoints (all JSON):
 * ``GET /statusz`` — the full ``serve.*``/``faults.*`` metrics snapshot
   (request and error counters, per-endpoint latency histograms with
   p50/p99 estimates, rolling-window rates over the last 10s/60s, cache
-  stats) plus the per-vendor quarantine state and the live snapshot
-  generation (id, source, age, swap/rollback counters);
+  stats, the plane block with its ``rendered`` memo size) plus the
+  per-vendor quarantine state and the live snapshot generation (id,
+  source, age, swap/rollback counters);
 * ``GET /metricsz`` — the same registry in Prometheus text exposition
   format (0.0.4), ready for a real scraper;
 * ``GET /tracez`` — span trees for the slowest recent requests, each
   attributed to the path that produced its answer (``plane``/``cache``/
   ``live``/``degraded``, ``mixed`` for heterogeneous batches).
 
+A healthy ``/lookup`` is parse, bisect, splice.  A strict
+``inet_pton`` parse (:func:`~repro.net.ip.strict_address_int`) gives the
+address integer; :meth:`ServingEngine.plane_cell` bisects the answer
+plane to the precomputed cell; and the body is that cell's rendered
+prefix — ``{"answers": …, "consensus": …, "degraded": false,
+"degraded_vendors": [], "ip": "`` — followed by the address, the trace
+id and ``"}``.  Prefixes are rendered by the same ``_lookup_payload``
+plus ``json.dumps(sort_keys=True)`` the general path uses, on a cell's
+first request, and memoised on the plane (so per generation), up to
+:data:`~repro.serve.plane.RENDERED_CELLS_MAX` cells.  Everything else —
+no plane, a degraded generation, an armed fault injector, an address
+the strict parser rejects — takes the general path: resolve, vote,
+render per request.  ``tests/serve/test_lookup_splice.py`` holds both
+paths to byte-identical bodies.
+
 Serving requests (``/lookup``, ``/batch``) are traced: the handler
 honours a client-sent ``X-Request-Id`` (sanitised) or mints one, threads
 the :class:`~repro.obs.reqtrace.RequestTrace` through the engine so
 plane probes / cache hits / per-vendor live probes land as span rows,
 echoes the id in the ``X-Request-Id`` response header and the JSON body,
-and — with ``serve --slow-ms`` — logs a one-line slow-request record to
-stderr.  Introspection endpoints carry the
+and — with ``serve --slow-ms`` — hands a one-line slow-request record to
+the server's ``slow_log`` sink (stderr by default) before the response
+is written.  Introspection endpoints carry the
 ``endpoint_class="introspection"`` label on their request/latency
 series, keeping monitoring traffic out of the rolling windows and the
 serving p99.
@@ -62,10 +79,10 @@ import time
 from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.net.ip import parse_address
+from repro.net.ip import IPv4Address, parse_address, strict_address_int
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prom import render_prometheus
@@ -194,12 +211,9 @@ def _answer_to_json(answer: IndexAnswer | None) -> dict[str, Any] | None:
 
 
 def _outcome_answers_json(
-    engine: ServingEngine, outcome: LookupOutcome
+    names: tuple[str, ...], outcome: LookupOutcome
 ) -> dict[str, Any]:
-    return {
-        name: _answer_to_json(outcome.answers.get(name))
-        for name in engine.vendor_names()
-    }
+    return {name: _answer_to_json(outcome.answers.get(name)) for name in names}
 
 
 def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
@@ -218,6 +232,42 @@ def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
         "degraded": consensus.degraded,
         "quorum": consensus.quorum,
     }
+
+
+def _lookup_payload(
+    names: tuple[str, ...], outcome: LookupOutcome, consensus: ConsensusAnswer
+) -> dict[str, Any]:
+    """The ``/lookup`` body without ``ip`` and ``trace_id``.
+
+    The one renderer behind both the general path and the memoised
+    per-cell prefixes of the spliced path.
+    """
+    return {
+        "answers": _outcome_answers_json(names, outcome),
+        "consensus": _consensus_to_json(consensus),
+        "degraded": outcome.degraded,
+        "degraded_vendors": list(outcome.unavailable()),
+    }
+
+
+def _cell_prefix(names: tuple[str, ...], cell, address: IPv4Address) -> bytes:
+    """A healthy plane cell's ``/lookup`` body up to the ``ip`` value.
+
+    ``ip`` is the last key before ``trace_id`` in sorted order, so the
+    body rendered with an empty ``ip`` ends in ``"ip": ""}``; cutting
+    the closing ``"}`` leaves the bytes every request for this cell
+    starts with.  ``address`` only satisfies the outcome types; no part
+    of it is rendered.
+    """
+    payload = _lookup_payload(
+        names, cell.outcome_at(address), cell.consensus_at(address)
+    )
+    payload["ip"] = ""
+    return json.dumps(payload, sort_keys=True)[:-2].encode("utf-8")
+
+
+def _stderr_line(line: str) -> None:
+    print(line, file=sys.stderr, flush=True)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -278,15 +328,30 @@ class _Handler(BaseHTTPRequestHandler):
                 "serve.errors", endpoint=endpoint, endpoint_class=endpoint_class
             )
         if trace is not None:
-            trace.finish(status=status)
-            # Path attribution is counted once per request, here at the
-            # edge — never per lookup on the plane hot path.
-            self.metrics.inc(
-                "serve.path", path=trace.path or "none", endpoint=endpoint
-            )
-            self.server.traces.record(trace)  # type: ignore[attr-defined]
-            self._trace = None
+            self._retire_trace(trace, status, endpoint)
         self.wfile.write(head + body)
+
+    def _retire_trace(
+        self, trace: RequestTrace, status: int | None, endpoint: str
+    ) -> None:
+        """Finish a request's trace: count its path, offer it to the
+        ring, and emit the slow-request record when it qualifies."""
+        self._trace = None
+        trace.finish(status=status)
+        # Path attribution is counted once per request, here at the
+        # edge — never per lookup on the plane hot path.
+        path = trace.path or "none"
+        self.metrics.inc("serve.path", path=path, endpoint=endpoint)
+        server = self.server
+        server.traces.record(trace)  # type: ignore[attr-defined]
+        slow_ms = server.slow_ms  # type: ignore[attr-defined]
+        if slow_ms is not None and trace.duration_ms >= slow_ms:
+            server.slow_log(  # type: ignore[attr-defined]
+                f"slow request: endpoint={endpoint}"
+                f" trace={trace.trace_id} ms={trace.duration_ms:.1f}"
+                f" status={trace.status} path={path}"
+                f" spans={trace.span_count()}"
+            )
 
     def _send_json(
         self,
@@ -299,7 +364,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_body(status, body, "application/json", endpoint, headers)
 
     def _timed(self, endpoint: str, handler) -> None:
-        server = self.server
         trace = None
         if endpoint not in _INTROSPECTION:
             requested = self.headers.get("X-Request-Id")
@@ -329,29 +393,11 @@ class _Handler(BaseHTTPRequestHandler):
                 endpoint=endpoint,
                 endpoint_class=_endpoint_class(endpoint),
             )
-            if trace is not None:
-                if self._trace is trace:
-                    # No response ever went out (the socket died before
-                    # _send_body ran): retain the trace here so the
-                    # request is still visible to /tracez.
-                    trace.finish(status=self._status)
-                    self.metrics.inc(
-                        "serve.path",
-                        path=trace.path or "none",
-                        endpoint=endpoint,
-                    )
-                    server.traces.record(trace)
-                slow_ms = server.slow_ms
-                if slow_ms is not None and elapsed_ms >= slow_ms:
-                    print(
-                        f"slow request: endpoint={endpoint}"
-                        f" trace={trace.trace_id} ms={elapsed_ms:.1f}"
-                        f" status={trace.status} path={trace.path or 'none'}"
-                        f" spans={trace.span_count()}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                self._trace = None
+            if trace is not None and self._trace is trace:
+                # No response ever went out (the socket died before
+                # _send_body ran): retain the trace here so the request
+                # is still visible to /tracez.
+                self._retire_trace(trace, self._status, endpoint)
 
     def _route(self, method: str) -> None:
         self._trace = None
@@ -428,19 +474,36 @@ class _Handler(BaseHTTPRequestHandler):
             ip = values[0]
         engine = self.engine
         trace = self._trace
+        addr = strict_address_int(ip)
+        hit = engine.plane_cell(addr, trace=trace) if addr is not None else None
+        if hit is not None:
+            # Healthy plane: the body is the cell's memoised prefix with
+            # the address and request id spliced in (serving requests
+            # are always traced).  Neither needs JSON escaping: the
+            # strict parser admits only digits and dots, and trace ids
+            # are [A-Za-z0-9._-] (client) or hex (minted).
+            plane, cell = hit
+            prefix = plane.rendered(cell)
+            if prefix is None:
+                prefix = plane.remember(
+                    cell, _cell_prefix(plane.names, cell, IPv4Address(addr))
+                )
+            body = b'%s%s", "trace_id": "%s"}' % (
+                prefix,
+                ip.encode("ascii"),
+                trace.trace_id.encode("ascii"),
+            )
+            self._send_body(200, body, "application/json", endpoint)
+            return
         try:
             outcome = engine.lookup_outcome(ip, trace=trace)
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)}, endpoint)
             return
-        consensus = engine.consensus_of(outcome)
-        payload = {
-            "ip": ip,
-            "answers": _outcome_answers_json(engine, outcome),
-            "consensus": _consensus_to_json(consensus),
-            "degraded": outcome.degraded,
-            "degraded_vendors": list(outcome.unavailable()),
-        }
+        payload = _lookup_payload(
+            engine.vendor_names(), outcome, engine.consensus_of(outcome)
+        )
+        payload["ip"] = ip
         if trace is not None:
             payload["trace_id"] = trace.trace_id
         self._send_json(200, payload, endpoint)
@@ -493,6 +556,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Validate up front so the fan-out only sees clean addresses;
         # invalid entries come back as per-item errors, not a failed batch.
         engine = self.engine
+        names = engine.vendor_names()
         results: list[dict[str, Any] | None] = [None] * len(ips)
         valid: list[tuple[int, Any]] = []
         for i, ip in enumerate(ips):
@@ -512,7 +576,7 @@ class _Handler(BaseHTTPRequestHandler):
                 continue
             item: dict[str, Any] = {
                 "ip": str(address),
-                "answers": _outcome_answers_json(engine, outcome),
+                "answers": _outcome_answers_json(names, outcome),
             }
             if outcome.degraded:
                 item["degraded"] = True
@@ -596,14 +660,17 @@ class GeoServer(ThreadingHTTPServer):
         *,
         metrics: MetricsRegistry | None = None,
         slow_ms: float | None = None,
+        slow_log: Callable[[str], None] = _stderr_line,
         trace_capacity: int = 32,
     ):
         super().__init__((host, port), _Handler)
         self.engine = engine
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Requests at least this slow get a one-line stderr record
-        #: (``serve --slow-ms``); ``None`` disables the log.
+        #: Requests at least this slow get a one-line record passed to
+        #: ``slow_log`` (stderr by default; ``serve --slow-ms``) before
+        #: their response is written; ``None`` disables the log.
         self.slow_ms = slow_ms
+        self.slow_log = slow_log
         #: The N slowest recent request traces, served on ``/tracez``.
         self.traces = TraceRing(trace_capacity)
         engine.attach_metrics(self.metrics)

@@ -25,6 +25,15 @@ with identical cells merge, and identical cells share one
 ``bisect`` plus one list read — no per-request vote, no per-vendor
 plumbing.
 
+Each plane also memoises, per cell, the rendered ``/lookup`` body up to
+the ``ip`` value (:meth:`AnswerPlane.remember`), so the HTTP layer
+answers a healthy lookup by splicing the address and trace id into
+cached bytes.  The memo is filled lazily and capped at
+:data:`RENDERED_CELLS_MAX` cells (~4 MB): rendering every cell of a
+100K-interface tier eagerly would cost ~40 MB of resident memory, while
+Zipf-shaped traffic repeats a few thousand cells.  It lives and dies
+with the plane, i.e. with one snapshot generation.
+
 The plane only ever encodes the *healthy* answer: the serving engine
 consults it exclusively while every vendor is healthy and no fault
 injector is armed, and falls back to the live per-vendor resolve path
@@ -68,6 +77,7 @@ __all__ = [
     "DEFAULT_QUORUM_MIN",
     "PLANE_SUFFIX",
     "PlaneAnswer",
+    "RENDERED_CELLS_MAX",
     "compile_plane",
     "load_plane",
     "save_plane",
@@ -79,6 +89,12 @@ PLANE_SUFFIX = ".rgpl"
 #: Matches :class:`~repro.serve.engine.ResiliencePolicy.quorum_min`'s
 #: default — the engine refuses a plane compiled under a different rule.
 DEFAULT_QUORUM_MIN = 2
+
+#: Cells whose rendered ``/lookup`` body prefix a plane keeps (see
+#: :meth:`AnswerPlane.remember`): about 1 KB each, so ~4 MB per plane.
+#: Rendering every cell of a 100K-interface tier up front would cost
+#: ~40 MB; Zipf traffic repeats a few thousand cells.
+RENDERED_CELLS_MAX = 4096
 
 _MAGIC = b"RGPL"
 _FORMAT_VERSION = 1
@@ -109,8 +125,9 @@ class PlaneAnswer:
     quorum: bool
 
     def outcome_at(self, address: IPv4Address) -> LookupOutcome:
-        """This cell as a healthy :class:`LookupOutcome` for ``address``."""
-        return LookupOutcome(address=address, answers=self.answers)
+        """This cell as a healthy :class:`LookupOutcome` for ``address``
+        (carrying the cell, so its consensus is reused, not re-voted)."""
+        return LookupOutcome(address=address, answers=self.answers, cell=self)
 
     def consensus_at(self, address: IPv4Address) -> ConsensusAnswer:
         """This cell as a healthy :class:`ConsensusAnswer` for ``address``."""
@@ -151,6 +168,7 @@ class AnswerPlane:
         "_starts",
         "_cell_ids",
         "_cells",
+        "_rendered",
         "probe",
     )
 
@@ -178,6 +196,9 @@ class AnswerPlane:
         self._starts = list(starts)
         self._cell_ids = list(cell_ids)
         self._cells = tuple(cells)
+        #: id(cell) -> rendered response bytes; cells live as long as
+        #: the plane, so their ids are stable keys.
+        self._rendered: dict[int, bytes] = {}
 
         # One slot of leading padding so the bisect result indexes the
         # cell list directly (bisect_right over starts beginning at 0
@@ -212,6 +233,31 @@ class AnswerPlane:
         """
         interval = bisect_right(self._starts, addr) - 1
         return self._cells[self._cell_ids[interval]], interval
+
+    # -- rendered-response memo ----------------------------------------------
+
+    def rendered(self, cell: PlaneAnswer) -> bytes | None:
+        """The bytes :meth:`remember` stored for ``cell``, if any."""
+        return self._rendered.get(id(cell))
+
+    def remember(self, cell: PlaneAnswer, body: bytes) -> bytes:
+        """Keep ``body`` as ``cell``'s rendering and return it.
+
+        The memo is filled lazily by whoever renders a cell first and
+        stops growing at :data:`RENDERED_CELLS_MAX` cells; later cells
+        are simply re-rendered per request.  Concurrent renderers of one
+        cell store identical bytes, so no lock is needed (the cap may be
+        overshot by one entry per racing thread).  A plane belongs to one
+        snapshot generation, so a swap drops the memo with it.
+        """
+        if len(self._rendered) < RENDERED_CELLS_MAX:
+            self._rendered[id(cell)] = body
+        return body
+
+    @property
+    def rendered_count(self) -> int:
+        """Cells with a memoised rendering."""
+        return len(self._rendered)
 
     # -- inspection ----------------------------------------------------------
 

@@ -14,6 +14,38 @@ from repro.net import (
     parse_address,
     parse_network,
 )
+from repro.net.ip import strict_address_int
+
+
+def _legacy_parse(text):
+    """``parse_address`` as it was before the ``inet_pton`` fast path."""
+    if isinstance(text, ipaddress.IPv4Address):
+        return text
+    try:
+        return ipaddress.IPv4Address(text)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ValueError(f"not an IPv4 address: {text!r}") from exc
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+#: Octet-shaped tokens: in-range and out-of-range numbers, leading zeros,
+#: signs, whitespace, hex, non-ASCII digits, NULs, empties.
+_OCTETS = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 255).map(lambda n: f"0{n}"),
+    st.sampled_from(["", " 1", "1 ", "+1", "-1", "0x1", "\u0663", "1\x00", "1e2"]),
+    st.text(alphabet="0123456789.x+- \t\n\u0663\uff11", max_size=5),
+)
+_ADDRESS_LIKE = st.one_of(
+    st.lists(_OCTETS, min_size=1, max_size=6).map(".".join),
+    st.text(max_size=20),
+)
 
 
 class TestParsing:
@@ -64,6 +96,25 @@ class TestParsing:
     def test_parse_address_error_names_the_input(self):
         with pytest.raises(ValueError, match="'10\\.0\\.0\\.999'"):
             parse_address("10.0.0.999")
+
+
+class TestStrictFastPath:
+    @given(_ADDRESS_LIKE)
+    def test_fast_path_accepts_only_what_ipaddress_accepts(self, text):
+        addr = strict_address_int(text)
+        if addr is not None:
+            assert int(ipaddress.IPv4Address(text)) == addr
+
+    @given(st.one_of(_ADDRESS_LIKE, st.integers(-2, 2**33), st.binary(max_size=6)))
+    def test_parse_address_matches_the_ipaddress_parser(self, text):
+        """Same value on success, same message on every rejection."""
+        assert _outcome(parse_address, text) == _outcome(_legacy_parse, text)
+
+    def test_fast_path_covers_plain_dotted_quads(self):
+        assert strict_address_int("10.0.0.1") == (10 << 24) + 1
+        assert strict_address_int("255.255.255.255") == 2**32 - 1
+        for rejected in ("01.2.3.4", "1.2.3", " 1.2.3.4", 16909060, b"\x01\x02\x03\x04"):
+            assert strict_address_int(rejected) is None
 
 
 class TestBlockOf:

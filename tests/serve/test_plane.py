@@ -55,6 +55,19 @@ class TestEquivalence:
             live = live_engine.consensus_of(live_engine.lookup_outcome(address))
             assert plane_engine.consensus(address) == live
 
+    def test_consensus_of_reuses_the_cell_vote(
+        self, live_engine, plane_engine, probe_addresses
+    ):
+        """A plane outcome carries its cell, so ``consensus_of`` returns
+        the compile-time vote — equal to a fresh live vote; live
+        outcomes carry no cell."""
+        for address in probe_addresses[::17]:
+            outcome = plane_engine.lookup_outcome(address)
+            assert outcome.cell is plane_engine.lookup_plane(address)
+            live = live_engine.lookup_outcome(address)
+            assert live.cell is None
+            assert plane_engine.consensus_of(outcome) == live_engine.consensus_of(live)
+
     def test_merged_boundaries_flip_exactly_where_live_flips(
         self, live_engine, plane_engine, answer_plane
     ):
