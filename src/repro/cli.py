@@ -285,15 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listening port (0 binds an ephemeral port)",
     )
     serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="LRU lookup-cache capacity (0 disables the cache)",
-    )
-    serve.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="N",
-        help="inject the default chaos fault mix (seeded, deterministic) to"
-             " exercise degraded serving; never use in production",
-    )
-    serve.add_argument(
         "--no-plane", dest="plane", action="store_false",
         help="serve without the precomputed answer plane (always resolve live)",
     )
@@ -364,16 +355,6 @@ def _emit(text: str, output: str | None) -> int:
     else:
         print(text)
     return 0
-
-
-def _chaos_injector(seed: int | None):
-    """Build the seeded default-chaos injector, or ``None`` when disabled."""
-    if seed is None:
-        return None
-    from repro.faults import FaultInjector, default_chaos_specs
-
-    print(f"chaos mode: injecting faults with seed {seed}", file=sys.stderr)
-    return FaultInjector(seed, default_chaos_specs())
 
 
 def _run_server(
@@ -466,8 +447,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             record, indexes, plane = store.load(current)
             engine = ServingEngine(
                 indexes,
-                cache_size=args.cache_size or None,
-                injector=_chaos_injector(args.chaos_seed),
                 plane=plane if args.plane else None,
                 generation_id=record.generation,
                 generation_source="store",
@@ -540,8 +519,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 plane = load_plane(plane_path)
             engine = ServingEngine.from_snapshot_dir(
                 args.snapshots,
-                cache_size=args.cache_size or None,
-                injector=_chaos_injector(args.chaos_seed),
                 plane=plane,
             )
         except (SnapshotError, ValueError) as exc:
@@ -887,8 +864,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         engine = ServingEngine(
             indexes,
-            cache_size=args.cache_size or None,
-            injector=_chaos_injector(args.chaos_seed),
             plane=compile_plane(indexes) if args.plane else None,
         )
         return _run_server(

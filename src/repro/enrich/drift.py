@@ -13,9 +13,10 @@ consensus answers (``coverage_loss``).
 Two truthfulness rules keep the alert stream honest:
 
 * **Degradation is not drift.**  While the engine reports the outcome
-  degraded (a vendor quarantined, erroring, or deadline-skipped), every
-  would-be alert is *suppressed* and counted — a quarantined vendor
-  missing from the vote must not read as a database that moved.  This is
+  degraded (the served generation is missing a vendor), every would-be
+  alert is *suppressed* and counted — a vendor absent from the vote must
+  not read as a database that moved.  Suppression follows the
+  generation: a swap to a full generation resumes alerting.  This is
   the serving-side version of the §5.1 caveat that agreement statistics
   are only meaningful over databases that actually answered.
 * **No consensus, no drift.**  Alerts only fire when the vote reached
@@ -165,8 +166,8 @@ class DriftDetector:
 
     def inspect(self, seq: int, outcome, consensus) -> tuple[DriftAlert, ...]:
         """Alerts for one event — or ``()`` with a suppression count when
-        the engine served it degraded (quarantine must not read as
-        drift)."""
+        the engine served it degraded (a missing vendor must not read
+        as drift)."""
         with self._lock:
             self.inspected += 1
         if outcome.degraded or consensus.degraded:

@@ -54,7 +54,6 @@ from repro.enrich.drift import DriftAlert, DriftDetector
 from repro.net.registry import TeamCymruWhois, UnallocatedAddressError, WhoisRecord
 from repro.obs.quantiles import BucketHistogram
 from repro.serve.engine import ConsensusAnswer, LookupOutcome, ServingEngine
-from repro.serve.errors import ServeError
 from repro.serve.index import IndexAnswer
 
 __all__ = [
@@ -227,9 +226,9 @@ def _whois_to_json(record: WhoisRecord) -> dict[str, Any]:
 class EnrichedEvent:
     """One firehose event with everything the pipeline learned about it.
 
-    ``error`` is set (and the geo fields emptied) when the serving layer
-    returned a typed error for this address — the event still flows
-    through so the in == out + shed accounting holds.
+    ``error`` is set (and ``consensus``/``whois`` emptied) when the
+    worker's consensus or whois step raised for this event — the event
+    still flows through so the in == out + shed accounting holds.
     """
 
     event: Any
@@ -564,8 +563,6 @@ class EnrichmentPipeline:
 
     def _resolve(self, event, outcome) -> _Resolved:
         try:
-            if isinstance(outcome, ServeError):
-                return _Resolved(None, None, f"{type(outcome).__name__}: {outcome}")
             consensus = self.engine.consensus_of(outcome)
             whois_record = None
             if self.whois is not None:
@@ -602,27 +599,18 @@ class EnrichmentPipeline:
 
     def _emit(self, item: tuple) -> None:
         _order, admitted, event, outcome, resolved = item
-        if isinstance(outcome, ServeError):
-            answers: Mapping[str, IndexAnswer | None] = {}
-            degraded = True
-            unavailable: tuple[str, ...] = ()
-            alerts: tuple[DriftAlert, ...] = ()
-        else:
-            answers = outcome.answers
-            degraded = outcome.degraded
-            unavailable = outcome.unavailable()
-            alerts = (
-                self.detector.inspect(event.seq, outcome, resolved.consensus)
-                if resolved.consensus is not None
-                else ()
-            )
+        alerts = (
+            self.detector.inspect(event.seq, outcome, resolved.consensus)
+            if resolved.consensus is not None
+            else ()
+        )
         enriched = EnrichedEvent(
             event=event,
-            answers=answers,
+            answers=outcome.answers,
             consensus=resolved.consensus,
             whois=resolved.whois,
-            degraded=degraded,
-            unavailable=unavailable,
+            degraded=outcome.degraded,
+            unavailable=outcome.unavailable(),
             alerts=alerts,
             error=resolved.error,
         )

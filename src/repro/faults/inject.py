@@ -1,278 +1,52 @@
-"""Deterministic, seedable fault injection around the serving layer.
+"""Deterministic, seedable fault injection for the serving layer's inputs.
 
 A :class:`FaultInjector` owns a set of armed :class:`FaultSpec`\\ s and a
-seed; everything it does — which bit of a snapshot flips, which request
-a vendor error fires on, when the cache storm hits — derives from
-``random.Random`` streams keyed by ``(seed, kind, vendor)``, so a single
-seed reproduces an entire chaos run exactly.
+seed; everything it does — which bit of a snapshot flips, where a file
+is cut short — derives from ``random.Random`` streams keyed by
+``(seed, kind, target)``, so a single seed reproduces an entire chaos
+run exactly.
 
-The injector never patches hot-path code.  It *wraps*:
+Every fault is applied to bytes on disk, before anything loads them:
 
-* :meth:`FaultInjector.wrap_indexes` returns the same mapping with the
-  targeted vendors behind :class:`FaultyIndex` proxies (untargeted
-  vendors are passed through untouched);
-* :meth:`FaultInjector.wrap_cache` fronts the serving LRU with a
-  :class:`ChaoticCache` that forces eviction storms (a cache fault may
-  cost hit rate, never correctness);
-* :meth:`FaultInjector.sabotage_snapshots` corrupts ``.rgix`` bytes on
-  disk, modelling the load-time half of the matrix.
+* :meth:`FaultInjector.sabotage_snapshots` corrupts or deletes ``.rgix``
+  files in a snapshot directory (the :class:`FaultKind` matrix);
+* :meth:`FaultInjector.sabotage_generation` wrecks a published store
+  generation (the :class:`StoreFaultKind` matrix).
 
-With no injector constructed, the serving layer runs the exact
-uninstrumented code — disabled fault injection costs nothing.
+The request path has nothing to inject into: compiled indexes are
+immutable and in memory, so a generation's health is decided once, at
+load.
 """
 
 from __future__ import annotations
 
 import pathlib
 import random
-import time
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from repro.faults.matrix import (
-    RUNTIME_KINDS,
     SNAPSHOT_KINDS,
     FaultKind,
     FaultSpec,
     StoreFaultKind,
 )
 
-__all__ = ["ChaoticCache", "FaultInjector", "FaultyIndex", "InjectedFault"]
-
-
-class InjectedFault(RuntimeError):
-    """The error a ``lookup_raise`` fault throws inside a vendor probe.
-
-    Deliberately a distinct type: the chaos suite asserts the serving
-    layer survives it, and nothing else in the codebase raises it, so a
-    leaked ``InjectedFault`` in a response always means a missing
-    degradation path.
-    """
-
-
-class FaultyIndex:
-    """A compiled index behind a deterministic fault gate.
-
-    Delegates every probe to the wrapped index after consulting the
-    armed specs: a ``lookup_delay`` stalls the call, a ``lookup_raise``
-    throws :class:`InjectedFault`.  Answers that do come back are the
-    wrapped index's own, untouched — the injector breaks availability
-    and latency, never correctness.
-    """
-
-    def __init__(
-        self,
-        base,
-        specs: Sequence[FaultSpec],
-        rngs: Sequence[random.Random],
-        *,
-        sleep: Callable[[float], None],
-        on_fire: Callable[[FaultSpec, str], None],
-    ):
-        self._base = base
-        self._armed = tuple(zip(specs, rngs))
-        self._sleep = sleep
-        self._on_fire = on_fire
-
-    # The serving engine reads these for health reporting and repr.
-    @property
-    def name(self) -> str:
-        return self._base.name
-
-    @property
-    def source_entries(self) -> int:
-        return self._base.source_entries
-
-    @property
-    def interval_count(self) -> int:
-        return self._base.interval_count
-
-    @property
-    def wrapped(self):
-        """The pristine index underneath (tests compare answers to it)."""
-        return self._base
-
-    def _gate(self) -> None:
-        for spec, rng in self._armed:
-            if spec.rate < 1.0 and rng.random() >= spec.rate:
-                continue
-            if not self._on_fire(spec, self._base.name):
-                continue  # injector disarmed: probe runs fault-free
-            if spec.kind is FaultKind.LOOKUP_DELAY:
-                self._sleep(spec.delay_s)
-            elif spec.kind is FaultKind.LOOKUP_RAISE:
-                raise InjectedFault(
-                    f"injected fault in {self._base.name}: {spec.describe()}"
-                )
-
-    # -- the probe surface ServingEngine and LookupFrame use -----------------
-
-    def probe(self, addr: int):
-        self._gate()
-        return self._base.probe(addr)
-
-    def probe_answer(self, addr: int):
-        self._gate()
-        return self._base.probe_answer(addr)
-
-    def lookup(self, address):
-        self._gate()
-        return self._base.lookup(address)
-
-    def lookup_answer(self, address):
-        self._gate()
-        return self._base.lookup_answer(address)
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        armed = ", ".join(spec.describe() for spec, _ in self._armed)
-        return f"FaultyIndex({self._base!r}, {armed})"
-
-
-class ChaoticCache:
-    """A serving cache under an eviction storm.
-
-    Before a fraction of ``get`` calls the wrapped cache is cleared —
-    the worst case a real eviction storm (cold restart, hostile key
-    churn, memory pressure) produces.  Every other operation delegates,
-    so the cache stays *correct* under the storm; only its hit rate
-    suffers, which is exactly the degradation being tested.
-    """
-
-    def __init__(
-        self,
-        base,
-        specs: Sequence[FaultSpec],
-        rngs: Sequence[random.Random],
-        *,
-        on_fire: Callable[[FaultSpec, str], None],
-    ):
-        self._base = base
-        self._armed = tuple(zip(specs, rngs))
-        self._on_fire = on_fire
-        self.storms = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._base.capacity
-
-    def get(self, key):
-        for spec, rng in self._armed:
-            if spec.rate < 1.0 and rng.random() >= spec.rate:
-                continue
-            if not self._on_fire(spec, "cache"):
-                continue
-            self.storms += 1
-            self._base.clear()
-        return self._base.get(key)
-
-    def put(self, key, value) -> None:
-        self._base.put(key, value)
-
-    def clear(self) -> None:
-        self._base.clear()
-
-    def stats(self) -> dict[str, float]:
-        return {**self._base.stats(), "storms": self.storms}
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ChaoticCache({self._base!r}, storms={self.storms})"
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """A seeded fault plan plus the machinery to apply it.
+    """A seeded fault plan plus the machinery to apply it to disk."""
 
-    ``enabled`` gates every runtime fault: :meth:`disarm` lets a chaos
-    test (or an operator drill) switch the faults off mid-run and watch
-    quarantined vendors heal, without rebuilding the engine.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        specs: Sequence[FaultSpec],
-        *,
-        metrics=None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, seed: int, specs: Sequence[FaultSpec], *, metrics=None):
         self.seed = int(seed)
         self.specs = tuple(specs)
-        self.enabled = True
         self._metrics = metrics
-        self._sleep = sleep
-        self.fired: int = 0
 
     # -- determinism ---------------------------------------------------------
 
     def _rng(self, *scope: str) -> random.Random:
         """An independent, reproducible stream for one (kind, target) cell."""
         return random.Random("|".join((str(self.seed), *scope)))
-
-    def _on_fire(self, spec: FaultSpec, target: str) -> bool:
-        """Count and record one firing; ``False`` when disarmed (no fault)."""
-        if not self.enabled:
-            return False
-        self.fired += 1
-        if self._metrics is not None:
-            self._metrics.inc(
-                "faults.injected", kind=spec.kind.value, target=target
-            )
-        return True
-
-    def attach_metrics(self, metrics) -> None:
-        """Emit ``faults.*`` counters into ``metrics`` (``None`` detaches).
-
-        The serving engine propagates its own registry here, so an
-        injector built before the server's registry exists (the CLI's
-        ``--chaos-seed`` path) still lands on ``/statusz``.
-        """
-        self._metrics = metrics
-
-    def disarm(self) -> None:
-        """Stop firing runtime faults (wrapped objects stay in place)."""
-        self.enabled = False
-
-    def rearm(self) -> None:
-        self.enabled = True
-
-    # -- runtime faults ------------------------------------------------------
-
-    def _runtime_specs_for(self, vendor: str) -> list[FaultSpec]:
-        return [
-            spec
-            for spec in self.specs
-            if spec.kind in RUNTIME_KINDS
-            and spec.kind is not FaultKind.CACHE_EVICT
-            and spec.targets(vendor)
-        ]
-
-    def wrap_indexes(self, indexes: Mapping[str, object]) -> dict[str, object]:
-        """The same mapping with targeted vendors behind fault gates."""
-        wrapped: dict[str, object] = {}
-        for name, index in indexes.items():
-            specs = self._runtime_specs_for(name)
-            if not specs:
-                wrapped[name] = index
-                continue
-            rngs = [self._rng(spec.kind.value, name) for spec in specs]
-            wrapped[name] = FaultyIndex(
-                index, specs, rngs, sleep=self._sleep, on_fire=self._on_fire
-            )
-        return wrapped
-
-    def wrap_cache(self, cache):
-        """``cache`` behind an eviction-storm gate (or unchanged)."""
-        if cache is None:
-            return None
-        specs = [s for s in self.specs if s.kind is FaultKind.CACHE_EVICT]
-        if not specs:
-            return cache
-        rngs = [self._rng(spec.kind.value, "cache") for spec in specs]
-        return ChaoticCache(cache, specs, rngs, on_fire=self._on_fire)
 
     # -- load-time faults ----------------------------------------------------
 
@@ -368,5 +142,4 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         armed = ", ".join(spec.describe() for spec in self.specs)
-        state = "armed" if self.enabled else "disarmed"
-        return f"FaultInjector(seed={self.seed}, {state}: {armed})"
+        return f"FaultInjector(seed={self.seed}: {armed})"

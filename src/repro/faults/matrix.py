@@ -14,18 +14,14 @@ fault kind            what it models
 ``snapshot_truncate`` a partially-written / partially-copied snapshot
 ``snapshot_magic``    a mislabeled or foreign file in the snapshot dir
 ``index_missing``     a vendor whose snapshot never arrived
-``lookup_raise``      a vendor backend erroring at request time
-``lookup_delay``      a vendor backend stalling (latency spike)
-``cache_evict``       an eviction storm emptying the serving LRU
 ===================== =====================================================
 
-The first four are *load-time* faults (they corrupt bytes before the
-engine boots); the last three are *runtime* faults a
-:class:`~repro.faults.inject.FaultInjector` fires inside the request
-path.  :func:`full_matrix` expands the kinds against a vendor list —
-the sweep `tests/faults/` runs cell by cell — and
-:func:`default_chaos_specs` is the moderate mixed workload behind
-``repro serve --chaos-seed``.
+All four are *load-time* faults: they corrupt bytes before the engine
+boots, which is the only place a compiled, in-memory index can fail.
+The first three must refuse to load; the last one boots a degraded
+generation that flags the missing vendor on every answer.
+:func:`full_matrix` expands the kinds against a vendor list — the sweep
+`tests/faults/` runs cell by cell.
 """
 
 from __future__ import annotations
@@ -37,11 +33,9 @@ from typing import Sequence
 __all__ = [
     "FaultKind",
     "FaultSpec",
-    "RUNTIME_KINDS",
     "SNAPSHOT_KINDS",
     "STORE_KINDS",
     "StoreFaultKind",
-    "default_chaos_specs",
     "full_matrix",
 ]
 
@@ -53,9 +47,6 @@ class FaultKind(enum.Enum):
     SNAPSHOT_TRUNCATE = "snapshot_truncate"
     SNAPSHOT_MAGIC = "snapshot_magic"
     INDEX_MISSING = "index_missing"
-    LOOKUP_RAISE = "lookup_raise"
-    LOOKUP_DELAY = "lookup_delay"
-    CACHE_EVICT = "cache_evict"
 
 
 #: Faults applied to snapshot bytes on disk, before the engine boots.
@@ -64,13 +55,6 @@ SNAPSHOT_KINDS: tuple[FaultKind, ...] = (
     FaultKind.SNAPSHOT_TRUNCATE,
     FaultKind.SNAPSHOT_MAGIC,
     FaultKind.INDEX_MISSING,
-)
-
-#: Faults fired inside the request path of a running engine.
-RUNTIME_KINDS: tuple[FaultKind, ...] = (
-    FaultKind.LOOKUP_RAISE,
-    FaultKind.LOOKUP_DELAY,
-    FaultKind.CACHE_EVICT,
 )
 
 
@@ -107,23 +91,13 @@ STORE_KINDS: tuple[StoreFaultKind, ...] = tuple(StoreFaultKind)
 
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
-    """One armed fault: a kind, an optional vendor, and a firing rate.
+    """One armed fault: a kind and an optional vendor.
 
-    ``vendor=None`` targets every vendor; ``rate`` is the per-call
-    probability a runtime fault fires (snapshot faults always apply).
-    ``delay_s`` sizes a :attr:`FaultKind.LOOKUP_DELAY` stall.
+    ``vendor=None`` targets every vendor.
     """
 
     kind: FaultKind
     vendor: str | None = None
-    rate: float = 1.0
-    delay_s: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1]: {self.rate!r}")
-        if self.delay_s < 0:
-            raise ValueError(f"fault delay must be non-negative: {self.delay_s!r}")
 
     def targets(self, vendor: str) -> bool:
         """Whether this spec applies to ``vendor``."""
@@ -131,31 +105,13 @@ class FaultSpec:
 
     def describe(self) -> str:
         scope = self.vendor if self.vendor is not None else "*"
-        return f"{self.kind.value}[{scope}]@{self.rate:g}"
+        return f"{self.kind.value}[{scope}]"
 
 
 def full_matrix(vendors: Sequence[str]) -> list[FaultSpec]:
-    """Every (kind, vendor) cell at rate 1.0 — the chaos sweep's axis."""
+    """Every (kind, vendor) cell — the chaos sweep's axis."""
     return [
         FaultSpec(kind=kind, vendor=vendor)
         for kind in FaultKind
         for vendor in vendors
     ]
-
-
-def default_chaos_specs(vendors: Sequence[str] | None = None) -> list[FaultSpec]:
-    """A moderate mixed runtime workload (``repro serve --chaos-seed``).
-
-    Rates are low enough that the service stays mostly healthy — the
-    point is to watch quarantine, retry, and the ``degraded`` flag work
-    under a live drill, not to take the service down.
-    """
-    targets: tuple[str | None, ...] = tuple(vendors) if vendors else (None,)
-    specs: list[FaultSpec] = []
-    for vendor in targets:
-        specs.append(FaultSpec(FaultKind.LOOKUP_RAISE, vendor=vendor, rate=0.02))
-        specs.append(
-            FaultSpec(FaultKind.LOOKUP_DELAY, vendor=vendor, rate=0.05, delay_s=0.01)
-        )
-    specs.append(FaultSpec(FaultKind.CACHE_EVICT, rate=0.01))
-    return specs

@@ -33,9 +33,12 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
     """
     if isinstance(text, IPv4Address):
         return text
-    addr = strict_address_int(text)
-    if addr is not None:
-        return IPv4Address(addr)
+    if type(text) is str:
+        # Only text can take the inet_pton fast path; ints and bytes
+        # would raise and catch a TypeError there on every call.
+        addr = strict_address_int(text)
+        if addr is not None:
+            return IPv4Address(addr)
     try:
         return ipaddress.IPv4Address(text)
     except (ValueError, OverflowError, TypeError) as exc:

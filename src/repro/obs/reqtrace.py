@@ -296,5 +296,8 @@ class TraceRing:
             self._oldest = float("inf")
 
     def __len__(self) -> int:
+        """Retained traces not yet past ``max_age_s`` (what
+        :meth:`slowest` would return)."""
         with self._lock:
+            self._evict_stale()
             return len(self._heap)

@@ -11,24 +11,24 @@ north star.  Six pieces:
 * :mod:`repro.serve.plane` — :class:`AnswerPlane`, every vendor's
   intervals merged into one cross-vendor partition with the per-vendor
   answers *and* the §5.1 consensus precomputed per interval at compile
-  time (``.rgpl`` files beside the ``.rgix`` set); the engine's healthy
-  path becomes one bisect plus array reads and falls back to the live
-  resolve path the moment any vendor degrades;
+  time (``.rgpl`` files beside the ``.rgix`` set); a healthy
+  generation's lookup is one bisect plus array reads, and a degraded
+  one (a vendor missing at load) answers live with the missing vendor
+  flagged;
 * :mod:`repro.serve.snapshot` — versioned, checksummed persistence
   (``repro compile`` writes ``*.rgix`` files a server loads at boot;
   header and payload are both digest-protected, so corrupt bytes raise
   :class:`SnapshotError` rather than serving garbage);
-* :mod:`repro.serve.cache` — a bounded, thread-safe LRU in front of the
-  indexes, with hit/miss accounting;
+* :mod:`repro.serve.cache` — a bounded, thread-safe LRU with hit/miss
+  accounting (the whois registry's lookup cache);
 * :mod:`repro.serve.engine` / :mod:`repro.serve.http` —
   :class:`ServingEngine` (single, batch, and consensus lookups across
   all vendors) behind a stdlib JSON HTTP API (``repro serve``) that
   reports ``serve.*`` metrics on ``/statusz``;
 * :mod:`repro.serve.errors` — the typed failure surface
   (:class:`ServeError` and friends) behind the fail-closed contract:
-  vendors that fail are quarantined per :class:`ResiliencePolicy`,
   every :class:`LookupOutcome` labels its own degradation, and the
-  fault matrix in :mod:`repro.faults` proves it;
+  load-time fault matrix in :mod:`repro.faults` proves it;
 * :mod:`repro.serve.store` — the snapshot lifecycle plane:
   :class:`SnapshotStore` (versioned, manifest-digested generations on
   disk, atomic publish and ``CURRENT`` pointer) and :class:`StoreWatcher`
@@ -38,13 +38,8 @@ north star.  Six pieces:
 """
 
 from repro.serve.cache import LruCache
-from repro.serve.engine import (
-    ConsensusAnswer,
-    LookupOutcome,
-    ResiliencePolicy,
-    ServingEngine,
-)
-from repro.serve.errors import NoHealthyVendors, ServeError, VendorError
+from repro.serve.engine import ConsensusAnswer, LookupOutcome, ServingEngine
+from repro.serve.errors import ServeError
 from repro.serve.http import GeoServer
 from repro.serve.index import CompiledIndex, IndexAnswer
 from repro.serve.plane import (
@@ -79,10 +74,8 @@ __all__ = [
     "IndexAnswer",
     "LookupOutcome",
     "LruCache",
-    "NoHealthyVendors",
     "PLANE_SUFFIX",
     "PlaneAnswer",
-    "ResiliencePolicy",
     "SNAPSHOT_SUFFIX",
     "ServeError",
     "ServingEngine",
@@ -90,7 +83,6 @@ __all__ = [
     "SnapshotStore",
     "StoreError",
     "StoreWatcher",
-    "VendorError",
     "compile_plane",
     "load_index",
     "load_index_set",

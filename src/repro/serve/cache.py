@@ -1,11 +1,12 @@
 """A bounded LRU cache for lookup answers.
 
-Router-interface traffic is heavily skewed — a serving fleet sees the
-same interfaces over and over — so a small address-keyed cache absorbs
-most of the probe volume.  The cache is deliberately minimal: a bounded
-:class:`~collections.OrderedDict` behind a lock (the serving engine is
-queried from HTTP handler threads and batch-executor threads
-concurrently), with hit/miss counters the ``/statusz`` endpoint surfaces.
+Router-interface traffic is heavily skewed — the same interfaces come
+up over and over — so a small address-keyed cache absorbs most of the
+lookup volume.  The whois registry (:mod:`repro.net.registry`) fronts
+its prefix walk with one.  The cache is deliberately minimal: a bounded
+:class:`~collections.OrderedDict` behind a lock (registry lookups come
+from many enrichment worker threads concurrently), with hit/miss
+counters.
 """
 
 from __future__ import annotations

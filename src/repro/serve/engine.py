@@ -2,68 +2,59 @@
 
 A :class:`ServingEngine` is what a deployment actually runs: the four
 vendor tables compiled to :class:`~repro.serve.index.CompiledIndex`
-form, an address-keyed LRU cache in front of them, batch lookup with
-thread fan-out, and a consensus view that reuses the study's own
-majority-vote machinery (:func:`repro.core.majority.majority_of_records`)
-— the §5.1 warning that databases can agree *and* be wrong is exactly
-why the API reports disagreement flags next to the majority answer
-rather than a single merged location.
+form, batch lookup with thread fan-out, and a consensus view that
+reuses the study's own majority-vote machinery
+(:func:`repro.core.majority.majority_of_records`) — the §5.1 warning
+that databases can agree *and* be wrong is exactly why the API reports
+disagreement flags next to the majority answer rather than a single
+merged location.
 
-Since vendors fail in production (see :mod:`repro.faults` for the fault
-matrix this is tested against), every request resolves to a
-:class:`LookupOutcome` under an explicit degradation contract:
+Degradation is a property of the served *generation*, fixed when it
+loads.  A compiled index is immutable and in memory: it cannot raise or
+stall by itself.  The failures that do happen — a corrupt, truncated,
+or missing vendor snapshot — are caught once per generation, at load
+time, by :func:`~repro.serve.snapshot.load_index` and the store
+digests.  A vendor named in ``expected=`` but absent from the loaded
+set is *missing* for that generation's whole life: every
+:class:`LookupOutcome` carries ``degraded=True`` and names it, and the
+consensus reports a truthful ``quorum`` flag — *Overconfident
+Coordinates* is why degradation is flagged, never silent.
 
-* a vendor probe that raises is retried per :class:`ResiliencePolicy`
-  and, past a consecutive-failure threshold, the vendor is
-  **quarantined** — skipped entirely until an exponentially growing
-  cooldown expires, when one half-open probe decides recovery;
-* an optional per-request **deadline budget** bounds tail latency: once
-  the budget is spent, remaining vendors are skipped rather than probed;
-* any answer produced with vendors missing carries ``degraded=True``
-  (and the consensus a truthful ``quorum`` flag) — *Overconfident
-  Coordinates* is why degradation is flagged, never silent;
-* when no vendor can answer at all, the engine raises the typed
-  :class:`~repro.serve.errors.NoHealthyVendors` instead of fabricating
-  an empty answer.
+There are two ways to answer, and they agree byte for byte.  With an
+:class:`~repro.serve.plane.AnswerPlane` attached and no vendor missing,
+a lookup is one C-level bisect plus array reads: every vendor's answer
+and the §5.1 consensus were resolved per merged cross-vendor interval
+at compile time.  Otherwise (``serve --no-plane``, or a degraded
+generation, whose plane cells would bake in the missing vendor) a
+lookup is the live path: one ``probe_answer`` per served index, and a
+fresh majority vote in :meth:`ServingEngine.consensus_of`.  The live
+path is also the reference the ``/lookup`` differential oracle and the
+CI plane-vs-``--no-plane`` check hold the plane to.  An outcome read
+from the plane carries its cell, so :meth:`ServingEngine.consensus_of`
+(the enrichment pipeline's path) returns the compile-time vote rather
+than re-running it, and :meth:`ServingEngine.plane_cell` hands the HTTP
+layer the cell itself for its spliced ``/lookup`` body.
 
-With an :class:`~repro.serve.plane.AnswerPlane` attached, the healthy
-path skips all of that machinery: every vendor's answer and the §5.1
-consensus were already resolved per merged cross-vendor interval at
-compile time, so a lookup is one C-level bisect plus array reads.  The
-plane is consulted only while every vendor is healthy *and* no fault
-injector is armed (the injector's fault gates live in the per-vendor
-probe wrappers, so a chaos engine must run the live path for faults to
-fire at all); the moment anything degrades, requests fall back to the
-live per-vendor resolve path above — the fail-closed contract is
-untouched, it just stops being paid for when nothing is broken.  An
-outcome read from the plane carries its cell, so :meth:`ServingEngine.\
-consensus_of` (the enrichment pipeline's path) returns the compile-time
-vote rather than re-running it, and :meth:`ServingEngine.plane_cell`
-hands the HTTP layer the cell itself for its spliced ``/lookup`` body.
-
-Since PR 8 every piece of state a lookup touches — indexes, cache,
-plane, per-vendor health — lives inside one :class:`_Generation`
-object, and the engine holds exactly one reference to it.  A lookup
-captures that reference once on entry and never re-reads it, so
-:meth:`ServingEngine.swap` can atomically replace the entire served
-snapshot set under live traffic (Gouel et al.'s longitudinal refresh
-problem) with a single assignment: in-flight lookups finish on the
-generation they started with, new lookups see the new one, and a torn
-or mixed-generation answer is structurally impossible.  The
-:mod:`repro.serve.store` watcher drives swaps (and rollbacks) from the
-on-disk generation store.
+Every piece of state a lookup touches — indexes, plane, missing
+vendors — lives inside one :class:`_Generation` object, and the engine
+holds exactly one reference to it.  A lookup captures that reference
+once on entry and never re-reads it, so :meth:`ServingEngine.swap` can
+atomically replace the entire served snapshot set under live traffic
+(Gouel et al.'s longitudinal refresh problem) with a single assignment:
+in-flight lookups finish on the generation they started with, new
+lookups see the new one, and a torn or mixed-generation answer is
+structurally impossible.  The :mod:`repro.serve.store` watcher drives
+swaps (and rollbacks) from the on-disk generation store.
 
 Metrics land in the ``serve.*`` family of the attached
-:class:`~repro.obs.metrics.MetricsRegistry` (lookups, cache hits/misses,
-batch sizes, consensus calls, vendor errors/retries/quarantines,
-generation swaps/rollbacks), with plane traffic split out as
-``plane.*`` (hits vs live fallbacks), mirroring how the analysis
+:class:`~repro.obs.metrics.MetricsRegistry` (lookups, batch sizes,
+consensus calls, generation swaps/rollbacks), with plane traffic split
+out as ``plane.*`` (hits vs live fallbacks), mirroring how the analysis
 pipeline reports ``geodb.*``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,95 +67,18 @@ from repro.geo.coordinates import GeoPoint
 from repro.geodb.database import GeoDatabase
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.cache import LruCache
-from repro.serve.errors import NoHealthyVendors, ServeError, VendorError
+from repro.serve.errors import ServeError
 from repro.serve.index import CompiledIndex, IndexAnswer
 from repro.serve.snapshot import load_index_set
 
 __all__ = [
     "ConsensusAnswer",
     "LookupOutcome",
-    "ResiliencePolicy",
     "ServingEngine",
 ]
 
 #: Batches at least this large fan out across worker threads.
 DEFAULT_BATCH_THRESHOLD = 256
-
-DEFAULT_CACHE_SIZE = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class ResiliencePolicy:
-    """How the engine behaves when a vendor backend misbehaves.
-
-    ``retries`` extra attempts (with ``retry_backoff_s`` doubling
-    between them) absorb transient errors; ``quarantine_threshold``
-    consecutive failures quarantine the vendor for ``cooldown_s``
-    (doubling per re-quarantine up to ``cooldown_max_s``, then one
-    half-open probe decides recovery).  ``deadline_ms`` is the
-    per-request time budget — ``None`` disables it.  ``quorum_min`` is
-    the least number of answering vendors for a consensus to claim
-    quorum.
-    """
-
-    retries: int = 1
-    retry_backoff_s: float = 0.0
-    quarantine_threshold: int = 3
-    cooldown_s: float = 0.5
-    cooldown_max_s: float = 30.0
-    deadline_ms: float | None = None
-    quorum_min: int = 2
-
-    def __post_init__(self):
-        if self.retries < 0:
-            raise ValueError(f"retries must be non-negative: {self.retries!r}")
-        if self.quarantine_threshold < 1:
-            raise ValueError(
-                f"quarantine_threshold must be positive: {self.quarantine_threshold!r}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be positive: {self.deadline_ms!r}")
-
-
-DEFAULT_POLICY = ResiliencePolicy()
-
-
-class _VendorHealth:
-    """Mutable per-vendor circuit state (guarded by its generation's lock).
-
-    ``blocked_until`` doubles as the fast-path gate: 0.0 for a healthy
-    vendor (one falsy check per lookup), a monotonic deadline while
-    quarantined, ``inf`` for a vendor whose snapshot never loaded.
-    """
-
-    __slots__ = (
-        "status",
-        "blocked_until",
-        "consecutive_failures",
-        "cooldown_s",
-        "quarantines",
-        "last_error",
-    )
-
-    def __init__(self, cooldown_s: float, *, status: str = "healthy"):
-        self.status = status
-        self.blocked_until = math.inf if status == "missing" else 0.0
-        self.consecutive_failures = 0
-        self.cooldown_s = cooldown_s
-        self.quarantines = 0
-        self.last_error: str | None = (
-            "snapshot missing at load time" if status == "missing" else None
-        )
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "state": self.status,
-            "consecutive_failures": self.consecutive_failures,
-            "quarantines": self.quarantines,
-            "cooldown_s": self.cooldown_s,
-            "last_error": self.last_error,
-        }
 
 
 class _Generation:
@@ -174,23 +88,16 @@ class _Generation:
     A lookup captures ``engine._gen`` exactly once at entry and reads
     only this object afterwards, so a concurrent :meth:`ServingEngine.\
 swap` (one reference assignment) can never hand it another
-    generation's indexes, cache, plane, or health table: in-flight
-    lookups finish on the generation they started with, and every field
-    of their answer comes from that one generation.  The cache and the
-    health table are *per generation* for the same reason — a cached
-    outcome from generation N must never be served by generation N+1.
+    generation's indexes, plane, or missing set: in-flight lookups
+    finish on the generation they started with, and every field of
+    their answer comes from that one generation.
     """
 
     __slots__ = (
         "gen_id",
         "source",
         "indexes",
-        "cache",
         "plane",
-        "plane_live",
-        "health",
-        "health_lock",
-        "healthy",
         "missing",
         "activated_monotonic",
         "activated_unix",
@@ -201,28 +108,18 @@ swap` (one reference assignment) can never hand it another
         gen_id: int,
         source: str,
         indexes: Mapping[str, CompiledIndex],
-        cache,
         plane,
-        plane_live,
-        health: dict[str, _VendorHealth],
         missing: tuple[str, ...],
         activated_monotonic: float,
     ):
         self.gen_id = gen_id
         self.source = source
         self.indexes = indexes
-        self.cache = cache
         self.plane = plane
-        self.plane_live = plane_live
-        self.health = health
-        self.health_lock = threading.Lock()
+        #: Expected vendors that never loaded, sorted.  Non-empty means
+        #: every answer of this generation is degraded and the plane
+        #: (whose cells include those vendors) stays unused.
         self.missing = missing
-        # The plane's fast gate: True only while every vendor is fully
-        # healthy (no quarantine, no missing snapshot, no failure streak
-        # mid-count).  Flipped under the health lock, read without it —
-        # a plain bool attribute read is atomic, and a stale False only
-        # costs one live-path resolve, never correctness.
-        self.healthy = not missing
         self.activated_monotonic = activated_monotonic
         self.activated_unix = time.time()
 
@@ -235,36 +132,29 @@ swap` (one reference assignment) can never hand it another
 class LookupOutcome:
     """One request's full, honestly-labelled result.
 
-    ``answers`` holds every vendor that answered this request (``None``
-    value = the vendor is healthy and has no coverage — itself a final,
-    correct answer).  Vendors absent from ``answers`` are accounted for
-    exactly once across ``errors`` (failed this request, post-retries),
-    ``quarantined`` (skipped: circuit open or snapshot missing), and
-    ``skipped`` (not probed: the deadline budget ran out).  Treat the
-    containers as read-only — outcomes are shared via the cache.
+    ``answers`` holds every served vendor's answer (``None`` value = no
+    coverage, itself a final, correct answer).  ``missing`` names the
+    vendors the generation expected but never loaded; they are absent
+    from ``answers`` and make the outcome ``degraded``.  Treat the
+    containers as read-only — plane outcomes share their cell's.
     """
 
     address: IPv4Address
     answers: Mapping[str, IndexAnswer | None]
-    errors: Mapping[str, str] = field(default_factory=dict)
-    quarantined: tuple[str, ...] = ()
-    skipped: tuple[str, ...] = ()
-    deadline_exceeded: bool = False
+    missing: tuple[str, ...] = ()
     #: The answer-plane cell this outcome was read from (plane path only;
-    #: cached and live outcomes keep ``None``).  It lets
+    #: live outcomes keep ``None``).  It lets
     #: :meth:`ServingEngine.consensus_of` reuse the compile-time vote.
     cell: object = field(default=None, compare=False, repr=False)
 
     @property
     def degraded(self) -> bool:
         """True when any vendor's answer is missing from this result."""
-        return bool(
-            self.errors or self.quarantined or self.skipped or self.deadline_exceeded
-        )
+        return bool(self.missing)
 
     def unavailable(self) -> tuple[str, ...]:
         """Every vendor that did not answer, sorted."""
-        return tuple(sorted({*self.errors, *self.quarantined, *self.skipped}))
+        return self.missing
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,8 +167,8 @@ class ConsensusAnswer:
     databases name different ISO codes, ``city_disagreement`` when any
     two city-level answers sit farther apart than the city range.
     ``degraded`` is True when the vote ran over fewer vendors than the
-    engine serves (failures/quarantine/deadline); ``quorum`` is True
-    when at least ``ResiliencePolicy.quorum_min`` vendors answered.
+    generation expects; ``quorum`` is True when at least
+    :data:`~repro.serve.plane.DEFAULT_QUORUM_MIN` vendors answered.
     """
 
     address: IPv4Address
@@ -310,12 +200,10 @@ def _traced_probe(gen: _Generation, plane, addr: int, trace):
 class ServingEngine:
     """Concurrent multi-database lookup over compiled indexes.
 
-    Indexes are immutable and shared; the mutable state — the LRU cache
-    and the per-vendor health table — locks internally, so the engine is
-    safe to query from many threads at once (the HTTP layer does exactly
-    that).  Pass a :class:`repro.faults.FaultInjector` as ``injector``
-    to wrap the indexes and cache in its deterministic fault gates; with
-    ``injector=None`` (the default) the request path is untouched.
+    Indexes and planes are immutable and shared, and a generation never
+    changes once built, so the engine is safe to query from many
+    threads at once (the HTTP layer does exactly that) without a lock
+    on the lookup path.
 
     The served snapshot set is a *generation* (``generation_id``,
     reported on ``/statusz``): :meth:`swap` atomically replaces it under
@@ -327,17 +215,13 @@ class ServingEngine:
         self,
         indexes: Mapping[str, CompiledIndex],
         *,
-        cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
         city_range_km: float = DEFAULT_CITY_RANGE_KM,
         batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
         max_workers: int = 4,
-        policy: ResiliencePolicy | None = None,
-        injector=None,
         plane=None,
         expected: Iterable[str] | None = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         generation_id: int = 0,
         generation_source: str = "boot",
     ):
@@ -345,15 +229,11 @@ class ServingEngine:
             raise ValueError(f"batch_threshold must be positive: {batch_threshold!r}")
         if max_workers < 1:
             raise ValueError(f"max_workers must be positive: {max_workers!r}")
-        self._injector = injector
         self.attach_metrics(metrics)
         self.city_range_km = city_range_km
         self.batch_threshold = batch_threshold
         self.max_workers = max_workers
-        self._policy = policy if policy is not None else DEFAULT_POLICY
         self._clock = clock
-        self._sleep = sleep
-        self._cache_size = cache_size
         # Generation lifecycle state: one swap at a time, counted, and
         # fenced off after close() so a late watcher poll cannot swap a
         # generation into a dead engine.
@@ -386,41 +266,21 @@ class ServingEngine:
     ) -> _Generation:
         """Assemble one fully-initialised generation, ready to swap in.
 
-        Everything mutable a lookup needs is built fresh here — cache,
-        health table, plane gate — so activating the generation is one
-        reference assignment with no shared state left behind.
+        The missing-vendor set is decided here, once: activating the
+        generation is one reference assignment with nothing left to
+        update afterwards.
         """
         if not indexes:
             raise ValueError("a serving engine needs at least one database index")
         indexes = dict(sorted(indexes.items()))
-        injector = self._injector
-        if injector is not None:
-            indexes = injector.wrap_indexes(indexes)
-        cache = LruCache(self._cache_size) if self._cache_size else None
-        if injector is not None:
-            cache = injector.wrap_cache(cache)
         missing = tuple(sorted(set(expected or ()) - set(indexes)))
-        health = {
-            name: _VendorHealth(self._policy.cooldown_s) for name in indexes
-        }
-        for name in missing:
-            health[name] = _VendorHealth(
-                self._policy.cooldown_s, status="missing"
-            )
         if plane is not None:
             self._check_plane(plane, indexes, missing)
-        # An armed injector gates faults inside the per-vendor probe
-        # wrappers; the plane would route around them, so chaos engines
-        # always run the live path (same spirit as the cache storms).
-        plane_live = plane if injector is None else None
         return _Generation(
             gen_id=gen_id,
             source=source,
             indexes=indexes,
-            cache=cache,
             plane=plane,
-            plane_live=plane_live,
-            health=health,
             missing=missing,
             activated_monotonic=self._clock(),
         )
@@ -433,6 +293,8 @@ class ServingEngine:
     ) -> None:
         """Refuse a plane whose compile-time parameters disagree with this
         engine — a mismatched plane would serve subtly different answers."""
+        from repro.serve.plane import DEFAULT_QUORUM_MIN  # plane imports us
+
         vendor_names = sorted((*indexes, *missing))
         if sorted(plane.names) != vendor_names:
             raise ValueError(
@@ -444,10 +306,10 @@ class ServingEngine:
                 f"answer plane compiled with city_range_km="
                 f"{plane.city_range_km}, engine uses {self.city_range_km}"
             )
-        if plane.quorum_min != self._policy.quorum_min:
+        if plane.quorum_min != DEFAULT_QUORUM_MIN:
             raise ValueError(
                 f"answer plane compiled with quorum_min={plane.quorum_min},"
-                f" engine policy uses {self._policy.quorum_min}"
+                f" engine uses {DEFAULT_QUORUM_MIN}"
             )
         for name, index in indexes.items():
             intervals = getattr(index, "interval_count", None)
@@ -481,8 +343,8 @@ class ServingEngine:
         """Serve compiled snapshots written by ``repro compile``.
 
         ``expected=[names]`` pins the vendor set: vendors named there but
-        absent on disk are served as statically quarantined (every
-        answer flagged degraded) instead of silently dropped.
+        absent on disk are served as missing for the generation's life
+        (every answer flagged degraded) instead of silently dropped.
         """
         return cls(load_index_set(directory), **kwargs)
 
@@ -499,12 +361,13 @@ class ServingEngine:
     ) -> int:
         """Atomically replace the served snapshot set under live traffic.
 
-        Builds a fresh :class:`_Generation` (new cache, new health
-        table, plane handshake re-checked) and activates it with a
-        single reference assignment: in-flight lookups finish on the old
-        generation, the next lookup sees the new one, and no request can
-        ever observe fields from both.  The candidate must serve exactly
-        the engine's current vendor set — a generation that drops or
+        Builds a fresh :class:`_Generation` (plane handshake re-checked)
+        and activates it with a single reference assignment: in-flight
+        lookups finish on the old generation, the next lookup sees the
+        new one, and no request can ever observe fields from both.  The
+        candidate must serve exactly the engine's current vendor set,
+        missing vendors included — so a swap restores a degraded
+        generation to full health, while a generation that drops or
         renames a vendor is a publishing error, refused with
         ``ValueError`` before anything changes.
 
@@ -609,7 +472,7 @@ class ServingEngine:
         the current generation.
 
         The store watcher's regression probe baseline: probes the raw
-        indexes directly — no cache, no metrics, no outcome objects — so
+        indexes directly — no plane, no metrics, no outcome objects — so
         a validation pass never distorts the serving counters.
         """
         gen = self._gen
@@ -624,9 +487,6 @@ class ServingEngine:
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Emit ``serve.*`` counters into ``metrics`` (``None`` detaches).
-
-        An attached fault injector follows along, so its ``faults.*``
-        counters land in the same registry ``/statusz`` snapshots.
 
         The plane hot path answers in ~1 µs, so it cannot afford two
         registry ``inc`` calls per request; instead the counters it
@@ -645,107 +505,45 @@ class ServingEngine:
         else:
             self._cell_plane_hit = None
             self._cell_plane_consensus = None
-        if self._injector is not None:
-            self._injector.attach_metrics(metrics)
-
-    def cache_stats(self) -> dict[str, float] | None:
-        """The LRU cache's counter snapshot (``None`` when uncached)."""
-        cache = self._gen.cache
-        return cache.stats() if cache is not None else None
 
     def plane_stats(self) -> dict[str, object] | None:
         """The attached answer plane's ``/statusz`` block (``None`` when
         no plane is attached).
 
-        ``active`` is False while the plane is configured but bypassed —
-        a fault injector is armed, or some vendor is currently degraded —
-        so an operator can see at a glance whether traffic is riding the
-        precomputed path or the live one.
+        ``active`` is False while the plane is configured but bypassed
+        because the generation is degraded, so an operator can see at a
+        glance whether traffic is riding the precomputed path or the
+        live one.
         """
         gen = self._gen
         plane = gen.plane
         if plane is None:
             return None
         return {
-            "active": gen.plane_live is not None and gen.healthy,
+            "active": not gen.missing,
             **plane.stats(),
             "rendered": plane.rendered_count,
         }
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:
-        """Per-vendor circuit state for ``/statusz`` (sorted by vendor)."""
+        """Per-vendor state for ``/statusz`` (sorted by vendor):
+        ``healthy`` when its snapshot loaded, ``missing`` when not."""
         gen = self._gen
-        with gen.health_lock:
-            return {
-                name: health.snapshot()
-                for name, health in sorted(gen.health.items())
-            }
+        states = {name: "healthy" for name in gen.indexes}
+        states.update((name, "missing") for name in gen.missing)
+        return {name: {"state": states[name]} for name in sorted(states)}
 
     @property
     def degraded(self) -> bool:
-        """True while any served vendor is quarantined or missing."""
-        gen = self._gen
-        with gen.health_lock:
-            return any(h.status != "healthy" for h in gen.health.values())
+        """True while the served generation is missing any vendor."""
+        return bool(self._gen.missing)
 
     def degraded_vendors(self) -> tuple[str, ...]:
-        """The vendors currently not healthy, sorted — the enrichment
-        drift detector's suppression signal, named individually so an
-        operator can tell *which* database's alerts went quiet."""
-        gen = self._gen
-        with gen.health_lock:
-            return tuple(
-                sorted(
-                    name
-                    for name, health in gen.health.items()
-                    if health.status != "healthy"
-                )
-            )
-
-    # -- health bookkeeping --------------------------------------------------
-
-    def _record_success(self, name: str, gen: _Generation | None = None) -> None:
-        gen = gen if gen is not None else self._gen
-        health = gen.health[name]
-        if not health.consecutive_failures and not health.blocked_until:
-            return  # steady healthy state: skip the lock entirely
-        with gen.health_lock:
-            health.status = "healthy"
-            health.blocked_until = 0.0
-            health.consecutive_failures = 0
-            health.cooldown_s = self._policy.cooldown_s
-            health.last_error = None
-            gen.healthy = not gen.missing and all(
-                h.status == "healthy" and not h.consecutive_failures
-                for h in gen.health.values()
-            )
-        if self._metrics is not None:
-            self._metrics.inc("serve.vendor_recoveries", vendor=name)
-
-    def _record_failure(
-        self, name: str, error: BaseException, gen: _Generation | None = None
-    ) -> None:
-        policy = self._policy
-        gen = gen if gen is not None else self._gen
-        quarantine = False
-        with gen.health_lock:
-            gen.healthy = False  # any failure streak bypasses the plane
-            health = gen.health[name]
-            health.consecutive_failures += 1
-            health.last_error = f"{error.__class__.__name__}: {error}"
-            rearmed = health.status == "quarantined"  # failed half-open probe
-            if rearmed or health.consecutive_failures >= policy.quarantine_threshold:
-                quarantine = True
-                health.status = "quarantined"
-                health.blocked_until = self._clock() + health.cooldown_s
-                health.quarantines += 1
-                health.cooldown_s = min(
-                    health.cooldown_s * 2, policy.cooldown_max_s
-                )
-        if self._metrics is not None:
-            self._metrics.inc("serve.vendor_errors", vendor=name)
-            if quarantine:
-                self._metrics.inc("serve.quarantines", vendor=name)
+        """The vendors the served generation is missing, sorted — the
+        enrichment drift detector's suppression signal, named
+        individually so an operator can tell *which* database's alerts
+        went quiet."""
+        return self._gen.missing
 
     # -- lookup --------------------------------------------------------------
 
@@ -756,142 +554,58 @@ class ServingEngine:
         """Served plus expected-but-missing vendors, in answer order."""
         return self._gen.vendor_names()
 
-    def _probe_vendor(
-        self,
-        gen: _Generation,
-        name: str,
-        index,
-        addr: int,
-        deadline: float | None,
-    ) -> tuple[bool, IndexAnswer | None | VendorError]:
-        """One vendor's answer with retries: ``(ok, answer-or-error)``."""
-        policy = self._policy
-        # A half-open probe (quarantined vendor past its cooldown) gets
-        # exactly one attempt: it either proves recovery or re-arms the
-        # quarantine with a doubled cooldown.
-        attempts = 1 if gen.health[name].blocked_until else 1 + policy.retries
-        last_error: BaseException | None = None
-        for attempt in range(attempts):
-            if attempt:
-                if self._metrics is not None:
-                    self._metrics.inc("serve.retries", vendor=name)
-                pause = policy.retry_backoff_s * (2 ** (attempt - 1))
-                if pause:
-                    if deadline is not None and self._clock() + pause >= deadline:
-                        break  # a backoff past the deadline helps nobody
-                    self._sleep(pause)
-            try:
-                answer = index.probe_answer(addr)
-            except Exception as exc:  # any vendor failure degrades, never leaks
-                last_error = exc
-                if self._metrics is not None:
-                    self._metrics.inc(
-                        "serve.vendor_exceptions",
-                        vendor=name,
-                        error=exc.__class__.__name__,
-                    )
-                continue
-            self._record_success(name, gen)
-            return True, answer
-        assert last_error is not None
-        self._record_failure(name, last_error, gen)
-        return False, VendorError(name, last_error)
-
     def _resolve(
         self, gen: _Generation, parsed: IPv4Address, addr: int, trace=None
     ) -> LookupOutcome:
-        clock = self._clock
-        policy = self._policy
-        deadline = (
-            clock() + policy.deadline_ms / 1000.0
-            if policy.deadline_ms is not None
-            else None
+        """The live path: one probe per served index, missing vendors
+        flagged from the generation."""
+        if trace is None:
+            answers = {
+                name: index.probe_answer(addr) for name, index in gen.indexes.items()
+            }
+            return LookupOutcome(address=parsed, answers=answers, missing=gen.missing)
+        resolve_span = trace.begin(
+            "resolve", address=str(parsed), generation=gen.gen_id
         )
-        resolve_span = -1
-        if trace is not None:
-            resolve_span = trace.begin(
-                "resolve", address=str(parsed), generation=gen.gen_id
-            )
-        answers: dict[str, IndexAnswer | None] = {}
-        errors: dict[str, str] = {}
-        quarantined: list[str] = list(gen.missing)
-        skipped: list[str] = []
-        deadline_exceeded = False
+        answers = {}
         for name, index in gen.indexes.items():
-            blocked_until = gen.health[name].blocked_until
-            if blocked_until and clock() < blocked_until:
-                quarantined.append(name)
-                continue
-            if deadline is not None and clock() >= deadline:
-                deadline_exceeded = True
-                skipped.append(name)
-                continue
-            if trace is not None:
-                started = time.perf_counter()
-                ok, value = self._probe_vendor(gen, name, index, addr, deadline)
-                trace.add(
-                    f"probe:{name}",
-                    (time.perf_counter() - started) * 1000.0,
-                    parent=resolve_span,
-                    ok=ok,
-                )
-            else:
-                ok, value = self._probe_vendor(gen, name, index, addr, deadline)
-            if ok:
-                answers[name] = value
-            else:
-                errors[name] = str(value)
-        outcome = LookupOutcome(
-            address=parsed,
-            answers=answers,
-            errors=errors,
-            quarantined=tuple(quarantined),
-            skipped=tuple(skipped),
-            deadline_exceeded=deadline_exceeded,
-        )
-        if trace is not None:
-            trace.end(
-                resolve_span,
-                degraded=outcome.degraded,
-                quarantined=list(outcome.quarantined),
-                skipped=list(outcome.skipped),
+            started = time.perf_counter()
+            answers[name] = index.probe_answer(addr)
+            trace.add(
+                f"probe:{name}",
+                (time.perf_counter() - started) * 1000.0,
+                parent=resolve_span,
             )
-            trace.note_path("degraded" if outcome.degraded else "live")
-        if self._metrics is not None:
-            if deadline_exceeded:
-                self._metrics.inc("serve.deadline_exceeded")
-            if outcome.degraded:
-                self._metrics.inc("serve.degraded_lookups")
-        return outcome
+        trace.end(
+            resolve_span, degraded=bool(gen.missing), missing=list(gen.missing)
+        )
+        trace.note_path("degraded" if gen.missing else "live")
+        return LookupOutcome(address=parsed, answers=answers, missing=gen.missing)
 
     def lookup_outcome(
         self, address: IPv4Address | str | int, *, trace=None
     ) -> LookupOutcome:
-        """Resolve one address against every vendor, fail-closed.
+        """Resolve one address against every vendor.
 
-        Returns a :class:`LookupOutcome`; raises the typed
-        :class:`~repro.serve.errors.NoHealthyVendors` when not a single
-        vendor could answer.  Only non-degraded outcomes enter the
-        cache, so a cached answer is always a fully-healthy one.  With a
-        healthy answer plane attached the outcome comes straight from
-        the precomputed cell — one bisect, no vendor probes, no cache
-        traffic.
+        With an answer plane attached and no vendor missing, the outcome
+        comes straight from the precomputed cell — one bisect, no vendor
+        probes.  Otherwise every served index is probed once and the
+        generation's missing vendors are flagged on the outcome.
 
         The generation reference is captured exactly once, here: every
-        index probe, cache access, and health check below runs against
-        that one generation even if a swap lands mid-request.
+        index probe below runs against that one generation even if a
+        swap lands mid-request.
 
         ``trace`` (a :class:`~repro.obs.reqtrace.RequestTrace`) records
-        span rows and the path attribution (``plane``/``cache``/
-        ``live``/``degraded``) the HTTP layer surfaces on ``/tracez``;
-        the default ``None`` keeps the hot path untraced.
+        span rows and the path attribution (``plane``/``live``/
+        ``degraded``) the HTTP layer surfaces on ``/tracez``; the
+        default ``None`` keeps the hot path untraced.
         """
         parsed = parse_address(address)
         addr = int(parsed)
-        metrics = self._metrics
         gen = self._gen
-        plane = gen.plane_live
-        if plane is not None and gen.healthy:
+        plane = gen.plane
+        if plane is not None and not gen.missing:
             # The precomputed path: one cell.add() feeds serve.lookups
             # *and* plane.hits — a second registry inc here would cost
             # more than the lookup itself.
@@ -901,34 +615,12 @@ class ServingEngine:
             if trace is not None:
                 return _traced_probe(gen, plane, addr, trace).outcome_at(parsed)
             return plane.probe(addr).outcome_at(parsed)
+        metrics = self._metrics
         if metrics is not None:
             metrics.inc("serve.lookups")
             if plane is not None:
                 metrics.inc("plane.fallbacks")
-        cache = gen.cache
-        if cache is not None:
-            try:
-                outcome = cache.get(addr)
-            except KeyError:
-                pass
-            else:
-                if metrics is not None:
-                    metrics.inc("serve.cache_hits")
-                if trace is not None:
-                    trace.add("cache.hit", 0.0, address=str(parsed))
-                    trace.note_path("cache")
-                return outcome
-            if metrics is not None:
-                metrics.inc("serve.cache_misses")
-        outcome = self._resolve(gen, parsed, addr, trace)
-        if not outcome.answers:
-            raise NoHealthyVendors(
-                f"no healthy vendor could answer {parsed}:"
-                f" {', '.join(outcome.unavailable()) or 'no vendors'}"
-            )
-        if cache is not None and not outcome.degraded:
-            cache.put(addr, outcome)
-        return outcome
+        return self._resolve(gen, parsed, addr, trace)
 
     def plane_cell(self, addr: int, *, trace=None):
         """``(plane, cell)`` for a pre-validated address integer, or
@@ -940,12 +632,12 @@ class ServingEngine:
         traced like :meth:`lookup_outcome`.  The plane comes back with
         the cell because both were read from one generation — a caller
         memoising per-cell output must key it on that plane.  ``None``
-        means no plane, an armed fault injector, or a degraded vendor;
-        the caller then takes :meth:`lookup_outcome`.
+        means no plane or a degraded generation; the caller then takes
+        :meth:`lookup_outcome`.
         """
         gen = self._gen
-        plane = gen.plane_live
-        if plane is None or not gen.healthy:
+        plane = gen.plane
+        if plane is None or gen.missing:
             return None
         counter = self._cell_plane_consensus
         if counter is not None:
@@ -960,14 +652,14 @@ class ServingEngine:
 
         This is the raw healthy hot path — one bisect plus a list read,
         with no outcome or consensus objects constructed per request.
-        ``None`` means no plane is attached, a fault injector is armed,
-        or some vendor is currently degraded; the caller falls back to
-        :meth:`lookup_outcome` / :meth:`consensus`, which themselves
-        consult the plane when possible.
+        ``None`` means no plane is attached or the generation is
+        degraded; the caller falls back to :meth:`lookup_outcome` /
+        :meth:`consensus`, which themselves consult the plane when
+        possible.
         """
         gen = self._gen
-        plane = gen.plane_live
-        if plane is None or not gen.healthy:
+        plane = gen.plane
+        if plane is None or gen.missing:
             return None
         return plane.probe(int(parse_address(address)))
 
@@ -976,9 +668,9 @@ class ServingEngine:
     ) -> dict[str, IndexAnswer | None]:
         """Every database's answer (matched prefix + record) for one address.
 
-        The legacy flat shape: one key per served vendor.  A degraded
-        vendor's value is ``None`` here — callers that must distinguish
-        "no coverage" from "unavailable" use :meth:`lookup_outcome`.
+        The legacy flat shape: one key per vendor.  A missing vendor's
+        value is ``None`` here — callers that must distinguish "no
+        coverage" from "unavailable" use :meth:`lookup_outcome`.
         """
         return self._flatten(self.lookup_outcome(address))
 
@@ -991,18 +683,15 @@ class ServingEngine:
         addresses: Sequence[IPv4Address | str | int] | Iterable,
         *,
         trace=None,
-    ) -> list[LookupOutcome | ServeError]:
+    ) -> list[LookupOutcome]:
         """Outcomes for many addresses, in input order.
 
-        Per-address serving errors come back as values (the typed error
-        object), not raises — one dead address space must not fail a
-        batch.  Small batches run inline; batches of at least
-        ``batch_threshold`` addresses fan out in contiguous chunks over
-        one persistent thread pool (created lazily on the first large
-        batch and reused — paying thread startup per request was
-        measurable under sustained load; the index probe releases no
-        locks worth contending on, and chunking keeps per-task overhead
-        negligible).
+        Small batches run inline; batches of at least ``batch_threshold``
+        addresses fan out in contiguous chunks over one persistent
+        thread pool (created lazily on the first large batch and reused
+        — paying thread startup per request was measurable under
+        sustained load; the index probe releases no locks worth
+        contending on, and chunking keeps per-task overhead negligible).
         """
         addresses = list(addresses)
         metrics = self._metrics
@@ -1013,20 +702,17 @@ class ServingEngine:
         if trace is not None:
             batch_span = trace.begin("batch", size=len(addresses))
 
-        def one(address) -> LookupOutcome | ServeError:
-            try:
-                return self.lookup_outcome(address, trace=trace)
-            except ServeError as exc:
-                return exc
+        def outcomes(part) -> list[LookupOutcome]:
+            return [self.lookup_outcome(address, trace=trace) for address in part]
 
         if len(addresses) < self.batch_threshold:
-            results = [one(address) for address in addresses]
+            results = outcomes(addresses)
         else:
             chunk = -(-len(addresses) // self.max_workers)  # ceil division
             chunks = [
                 addresses[i : i + chunk] for i in range(0, len(addresses), chunk)
             ]
-            parts = self._executor().map(lambda part: [one(a) for a in part], chunks)
+            parts = self._executor().map(outcomes, chunks)
             results = [outcome for part in parts for outcome in part]
         if trace is not None:
             trace.end(batch_span)
@@ -1068,25 +754,8 @@ class ServingEngine:
     def lookup_batch(
         self, addresses: Sequence[IPv4Address | str | int] | Iterable
     ) -> list[dict[str, IndexAnswer | None]]:
-        """Flat answers for many addresses, in input order (legacy shape).
-
-        A per-address :class:`ServeError` is raised only after the whole
-        batch has drained, so the batch metrics that were already counted
-        (``serve.batch_lookups``, ``serve.batch_size``) always describe
-        work that actually ran; batch callers that want per-item errors
-        use :meth:`outcome_batch`.
-        """
-        results = []
-        error: ServeError | None = None
-        for outcome in self.outcome_batch(addresses):
-            if isinstance(outcome, ServeError):
-                if error is None:
-                    error = outcome
-                continue
-            results.append(self._flatten(outcome))
-        if error is not None:
-            raise error
-        return results
+        """Flat answers for many addresses, in input order (legacy shape)."""
+        return [self._flatten(outcome) for outcome in self.outcome_batch(addresses)]
 
     def consensus_of(self, outcome: LookupOutcome) -> ConsensusAnswer:
         """Majority answer plus disagreement/degradation flags for an
@@ -1095,13 +764,17 @@ class ServingEngine:
         An outcome read from the answer plane carries its cell, whose
         vote was tallied at compile time; that vote is returned as is.
         The cell comes from the same lookup, so it belongs to the
-        generation that produced ``outcome`` even across a swap.
+        generation that produced ``outcome`` even across a swap.  A live
+        outcome is voted here, per request — the reference the plane's
+        compile-time cells are checked against.
         """
         if self._metrics is not None:
             self._metrics.inc("serve.consensus")
         cell = outcome.cell
         if cell is not None:
             return cell.consensus_at(outcome.address)
+        from repro.serve.plane import DEFAULT_QUORUM_MIN  # plane imports us
+
         records = [
             answer.record
             for answer in outcome.answers.values()
@@ -1128,7 +801,7 @@ class ServingEngine:
             country_disagreement=len(countries) > 1,
             city_disagreement=city_disagreement,
             degraded=outcome.degraded,
-            quorum=vote.voters >= self._policy.quorum_min,
+            quorum=vote.voters >= DEFAULT_QUORUM_MIN,
         )
 
     def consensus(self, address: IPv4Address | str | int) -> ConsensusAnswer:
@@ -1139,8 +812,8 @@ class ServingEngine:
         majority computation per request.
         """
         gen = self._gen
-        plane = gen.plane_live
-        if plane is not None and gen.healthy:
+        plane = gen.plane
+        if plane is not None and not gen.missing:
             parsed = parse_address(address)
             cell = self._cell_plane_consensus
             if cell is not None:
@@ -1152,6 +825,5 @@ class ServingEngine:
         gen = self._gen
         return (
             f"ServingEngine({', '.join(gen.indexes)}; gen={gen.gen_id};"
-            f" cache={'off' if gen.cache is None else gen.cache.capacity};"
             f" plane={'off' if gen.plane is None else gen.plane.cell_count})"
         )

@@ -7,30 +7,16 @@ refuses to do is an instance of :class:`ServeError`:
 
 * :class:`~repro.serve.snapshot.SnapshotError` — a snapshot file could
   not be written, read, or trusted (load-time faults land here);
-* :class:`VendorError` — one vendor backend failed a request even after
-  retries (the engine quarantines the vendor and degrades the answer;
-  this type surfaces in per-vendor error reports, not as a raise);
-* :class:`NoHealthyVendors` — every vendor is failed or quarantined, so
-  there is no honest answer to give (the HTTP layer maps this to 503).
+* :class:`~repro.serve.store.StoreError` — a store generation could not
+  be published, loaded, or validated;
+* a bare :class:`ServeError` — a swap or watcher registration on a
+  closed engine.
 """
 
 from __future__ import annotations
 
-__all__ = ["NoHealthyVendors", "ServeError", "VendorError"]
+__all__ = ["ServeError"]
 
 
 class ServeError(RuntimeError):
     """Base for every typed serving-layer failure."""
-
-
-class VendorError(ServeError):
-    """One vendor backend failed a lookup (after retries)."""
-
-    def __init__(self, vendor: str, cause: BaseException):
-        super().__init__(f"{vendor}: {cause.__class__.__name__}: {cause}")
-        self.vendor = vendor
-        self.cause = cause
-
-
-class NoHealthyVendors(ServeError):
-    """No vendor could answer: all failed, quarantined, or missing."""

@@ -3,25 +3,25 @@
 Endpoints (all JSON):
 
 * ``GET /lookup?ip=A.B.C.D`` — every database's answer (matched prefix +
-  record) plus the consensus block; a degraded answer (vendor failed,
-  quarantined, or deadline-skipped) says so explicitly via ``degraded``
-  and ``degraded_vendors``;
+  record) plus the consensus block; an answer from a degraded
+  generation (a vendor missing at load) says so explicitly via
+  ``degraded`` and ``degraded_vendors``;
 * ``POST /batch`` — body ``{"ips": [...]}``; per-address results in
-  input order, with per-address errors inlined rather than failing the
-  whole batch;
-* ``GET /healthz`` — liveness: served databases, and ``degraded`` once
-  any vendor is quarantined or missing;
-* ``GET /statusz`` — the full ``serve.*``/``faults.*`` metrics snapshot
-  (request and error counters, per-endpoint latency histograms with
-  p50/p99 estimates, rolling-window rates over the last 10s/60s, cache
-  stats, the plane block with its ``rendered`` memo size) plus the
-  per-vendor quarantine state and the live snapshot generation (id,
+  input order, with unparseable addresses inlined as per-item errors
+  rather than failing the whole batch;
+* ``GET /healthz`` — liveness: served databases, and ``degraded`` while
+  the served generation is missing a vendor;
+* ``GET /statusz`` — the full ``serve.*`` metrics snapshot (request and
+  error counters, per-endpoint latency histograms with p50/p99
+  estimates, rolling-window rates over the last 10s/60s, the plane
+  block with its ``rendered`` memo size) plus the per-vendor state
+  (``healthy`` or ``missing``) and the live snapshot generation (id,
   source, age, swap/rollback counters);
 * ``GET /metricsz`` — the same registry in Prometheus text exposition
   format (0.0.4), ready for a real scraper;
 * ``GET /tracez`` — span trees for the slowest recent requests, each
-  attributed to the path that produced its answer (``plane``/``cache``/
-  ``live``/``degraded``, ``mixed`` for heterogeneous batches).
+  attributed to the path that produced its answer (``plane``/``live``/
+  ``degraded``, ``mixed`` for heterogeneous batches).
 
 A healthy ``/lookup`` is parse, bisect, splice.  A strict
 ``inet_pton`` parse (:func:`~repro.net.ip.strict_address_int`) gives the
@@ -33,15 +33,15 @@ id and ``"}``.  Prefixes are rendered by the same ``_lookup_payload``
 plus ``json.dumps(sort_keys=True)`` the general path uses, on a cell's
 first request, and memoised on the plane (so per generation), up to
 :data:`~repro.serve.plane.RENDERED_CELLS_MAX` cells.  Everything else —
-no plane, a degraded generation, an armed fault injector, an address
-the strict parser rejects — takes the general path: resolve, vote,
-render per request.  ``tests/serve/test_lookup_splice.py`` holds both
-paths to byte-identical bodies.
+no plane, a degraded generation, an address the strict parser
+rejects — takes the general path: resolve, vote, render per request.
+``tests/serve/test_lookup_splice.py`` holds both paths to
+byte-identical bodies.
 
 Serving requests (``/lookup``, ``/batch``) are traced: the handler
 honours a client-sent ``X-Request-Id`` (sanitised) or mints one, threads
 the :class:`~repro.obs.reqtrace.RequestTrace` through the engine so
-plane probes / cache hits / per-vendor live probes land as span rows,
+plane probes and per-vendor live probes land as span rows,
 echoes the id in the ``X-Request-Id`` response header and the JSON body,
 and — with ``serve --slow-ms`` — hands a one-line slow-request record to
 the server's ``slow_log`` sink (stderr by default) before the response
@@ -53,9 +53,7 @@ serving p99.
 Documented status codes: 200 on success; 400 malformed input; 404
 unknown route; 405 wrong method on a known route (with ``Allow``); 411
 missing, unparseable, or negative Content-Length; 413 oversized batch
-or request body; 500 unexpected handler error; 503 when no vendor can
-answer (the engine's typed
-:class:`~repro.serve.errors.NoHealthyVendors`).  Every 4xx/5xx
+or request body; 500 unexpected handler error.  Every 4xx/5xx
 increments ``serve.errors``.  The declared body length is validated as
 ``0 <= length <= MAX_BODY_BYTES`` *before* any read: a negative length
 must never reach ``rfile.read`` (``read(-n)`` reads to EOF, which hangs
@@ -63,8 +61,8 @@ the worker forever on a keep-alive connection), and a huge one must be
 refused without buffering it.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
-request, which the engine tolerates because compiled indexes are
-immutable and the cache locks internally.  :meth:`GeoServer.run` installs
+request, which the engine tolerates because compiled indexes, planes
+and generations are immutable.  :meth:`GeoServer.run` installs
 a graceful shutdown path: ``SIGINT``/``KeyboardInterrupt`` drains the
 listener and closes the socket instead of dying mid-response.
 """
@@ -88,7 +86,6 @@ from repro.obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prom import render_prometheus
 from repro.obs.reqtrace import RequestTrace, TraceRing
 from repro.serve.engine import ConsensusAnswer, LookupOutcome, ServingEngine
-from repro.serve.errors import NoHealthyVendors, ServeError
 from repro.serve.index import IndexAnswer
 
 __all__ = ["GeoServer", "MAX_BATCH_SIZE", "MAX_BODY_BYTES"]
@@ -379,10 +376,6 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         try:
             handler(endpoint)
-        except NoHealthyVendors as exc:
-            # The engine refused to fabricate an answer: fail closed with
-            # the service-unavailable code, not a fake empty 200.
-            self._send_json(503, {"error": str(exc)}, endpoint)
         except Exception as exc:  # the server must outlive any one request
             self._send_json(500, {"error": f"internal error: {exc}"}, endpoint)
         finally:
@@ -569,11 +562,6 @@ class _Handler(BaseHTTPRequestHandler):
             [address for _, address in valid], trace=trace
         )
         for (i, address), outcome in zip(valid, outcomes):
-            if isinstance(outcome, ServeError):
-                # A typed serving error is a per-item result too: the
-                # batch survives, the item is honestly unanswerable.
-                results[i] = {"ip": str(address), "error": str(outcome)}
-                continue
             item: dict[str, Any] = {
                 "ip": str(address),
                 "answers": _outcome_answers_json(names, outcome),
@@ -609,7 +597,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "histograms": metrics.histograms_snapshot(quantiles=True),
                 "families": list(metrics.families()),
                 "windows": self.server.windows_block(),  # type: ignore[attr-defined]
-                "cache": self.engine.cache_stats(),
                 "plane": self.engine.plane_stats(),
                 "generation": self.engine.generation_info(),
                 "vendors": self.engine.health_snapshot(),
@@ -680,9 +667,7 @@ class GeoServer(ThreadingHTTPServer):
         register = self.metrics.track_window
         register("requests", "serve.requests", endpoint_class="serving")
         register("errors", "serve.errors", endpoint_class="serving")
-        register("cache_hits", "serve.cache_hits")
-        register("cache_misses", "serve.cache_misses")
-        for path in ("plane", "cache", "live", "degraded"):
+        for path in ("plane", "live", "degraded"):
             register(f"path_{path}", "serve.path", path=path)
         # Staleness gauges: which snapshot generation is live and how old
         # it is, read from the engine at scrape time (a swap mid-scrape
@@ -696,7 +681,7 @@ class GeoServer(ThreadingHTTPServer):
 
     def windows_block(self) -> dict[str, Any]:
         """The ``/statusz`` rolling-window view: raw per-alias windows
-        plus derived rates (RPS, error rate, hit ratios) per horizon."""
+        plus derived rates (RPS, error rate, plane hit ratio) per horizon."""
         windows = self.metrics.windows_snapshot()
 
         def total(alias: str, span: str) -> float:
@@ -705,8 +690,6 @@ class GeoServer(ThreadingHTTPServer):
         rates: dict[str, dict[str, float]] = {}
         for span in ("10s", "60s"):
             requests = total("requests", span)
-            hits = total("cache_hits", span)
-            misses = total("cache_misses", span)
             rates[span] = {
                 "rps": round(requests / int(span[:-1]), 6),
                 "error_rate": round(
@@ -714,9 +697,6 @@ class GeoServer(ThreadingHTTPServer):
                 ),
                 "plane_hit_ratio": round(
                     total("path_plane", span) / requests if requests else 0.0, 6
-                ),
-                "cache_hit_ratio": round(
-                    hits / (hits + misses) if hits + misses else 0.0, 6
                 ),
             }
         return {"aliases": windows, "rates": rates}

@@ -35,11 +35,11 @@ Zipf-shaped traffic repeats a few thousand cells.  It lives and dies
 with the plane, i.e. with one snapshot generation.
 
 The plane only ever encodes the *healthy* answer: the serving engine
-consults it exclusively while every vendor is healthy and no fault
-injector is armed, and falls back to the live per-vendor resolve path
-the moment anything is degraded — so the PR 5 fail-closed contract
-(flags, quarantine, typed errors) is untouched, which the chaos matrix
-re-proves with the plane attached.
+consults it only for a generation with every vendor loaded.  A
+generation with a vendor missing at load answers on the live
+per-vendor path instead, with the missing vendor flagged on every
+answer (``tests/serve/test_lookup_splice.py`` holds both paths to
+byte-identical ``/lookup`` bodies).
 
 Planes persist as ``.rgpl`` files next to the ``.rgix`` snapshots they
 were compiled from, with the same two-digest integrity scheme (header
@@ -86,8 +86,9 @@ __all__ = [
 #: File extension for persisted answer planes (``plane.rgpl``).
 PLANE_SUFFIX = ".rgpl"
 
-#: Matches :class:`~repro.serve.engine.ResiliencePolicy.quorum_min`'s
-#: default — the engine refuses a plane compiled under a different rule.
+#: The least number of answering vendors for a consensus to claim
+#: quorum — the live vote uses it too, and the engine refuses a plane
+#: compiled under a different rule.
 DEFAULT_QUORUM_MIN = 2
 
 #: Cells whose rendered ``/lookup`` body prefix a plane keeps (see
@@ -111,7 +112,7 @@ class PlaneAnswer:
     vendor, ``None`` = healthy-but-no-coverage); the remaining fields are
     the §5.1 consensus the live path would re-derive per request.  Cells
     are shared across every request that lands in their intervals —
-    treat all containers as read-only, exactly like cached outcomes.
+    treat all containers as read-only.
     """
 
     answers: Mapping[str, IndexAnswer | None]

@@ -321,10 +321,10 @@ class TestStudyEquivalence:
 
 
 class TestDegradedEquivalence:
-    """A quarantined vendor must not perturb the healthy vendors' stages.
+    """A missing vendor must not perturb the healthy vendors' stages.
 
-    The serving layer decides which vendors are healthy (one injected
-    always-failing vendor gets quarantined); the analysis pipeline then
+    The serving layer decides which vendors are healthy (a generation
+    booted with one expected vendor missing); the analysis pipeline then
     runs over exactly the surviving set — and the frame path and direct
     path must still agree report-for-report, like they do when nothing
     is broken.  A fault that leaked into healthy vendors' numbers would
@@ -333,25 +333,20 @@ class TestDegradedEquivalence:
 
     @pytest.fixture(scope="class")
     def healthy_vendors(self, small_scenario):
-        """The vendor set that survives an injected single-vendor outage."""
-        from repro.faults import FaultInjector, FaultKind, FaultSpec
-        from repro.serve import CompiledIndex, ResiliencePolicy, ServingEngine
+        """The vendor set a generation missing one vendor serves."""
+        from repro.serve import CompiledIndex, ServingEngine
 
-        victim = sorted(small_scenario.databases)[0]
-        injector = FaultInjector(
-            20160806, [FaultSpec(FaultKind.LOOKUP_RAISE, vendor=victim)]
-        )
+        names = sorted(small_scenario.databases)
+        victim = names[0]
         engine = ServingEngine(
             {
-                name: CompiledIndex.compile(database)
-                for name, database in small_scenario.databases.items()
+                name: CompiledIndex.compile(small_scenario.databases[name])
+                for name in names[1:]
             },
-            injector=injector,
-            cache_size=None,
-            policy=ResiliencePolicy(retries=0, quarantine_threshold=1),
+            expected=names,
         )
         outcome = engine.lookup_outcome(small_scenario.ark_dataset.addresses[0])
-        assert outcome.degraded and victim in outcome.errors
+        assert outcome.degraded and outcome.missing == (victim,)
         healthy = [
             name
             for name, health in engine.health_snapshot().items()

@@ -2,8 +2,7 @@
 
 The expensive pieces (index compilation, the answer plane, the covered
 address pool) are session-scoped and read-only; every test builds its
-own engine/pipeline so health state and caches never leak between
-tests.
+own engine/pipeline so swapped generations never leak between tests.
 """
 
 import pytest
@@ -34,7 +33,7 @@ def event_pool(enrich_indexes):
 
 @pytest.fixture
 def engine(enrich_indexes, enrich_plane):
-    """A fresh healthy engine per test (health/cache state is mutable)."""
+    """A fresh healthy engine per test (its generation can be swapped)."""
     return ServingEngine(enrich_indexes, plane=enrich_plane)
 
 

@@ -1,11 +1,10 @@
-"""Thread hammer for the serving LRU cache and the engine around it.
+"""Thread hammer for the LRU cache and for concurrent engine lookups.
 
 Correctness under concurrency means two things here: the cache never
 returns another key's value (isolation), and the accounting reconciles
 exactly — every ``get`` is one hit or one miss, and at the engine level
-``serve.lookups == serve.cache_hits + serve.cache_misses``.  A lost
-update or a cross-wired entry shows up as an off-by-anything in these
-totals.
+``serve.lookups`` equals the lookups the threads made.  A lost update or
+a cross-wired entry shows up as an off-by-anything in these totals.
 """
 
 import random
@@ -93,9 +92,7 @@ class TestEngineHammer:
         self, compiled_indexes, chaos_addresses
     ):
         metrics = MetricsRegistry()
-        engine = ServingEngine(
-            compiled_indexes, cache_size=len(chaos_addresses) // 4, metrics=metrics
-        )
+        engine = ServingEngine(compiled_indexes, metrics=metrics)
         barrier = threading.Barrier(THREADS)
 
         def hammer(worker: int) -> int:
@@ -106,8 +103,8 @@ class TestEngineHammer:
                 addr = chaos_addresses[rng.randrange(len(chaos_addresses))]
                 outcome = engine.lookup_outcome(addr)
                 lookups += 1
-                # Whether this came from the cache or a fresh resolve, it
-                # must be *this* address's pristine answer set.
+                # Whatever else the other threads are probing, it must be
+                # *this* address's pristine answer set.
                 assert int(outcome.address) == addr
                 for name, answer in outcome.answers.items():
                     assert answer == compiled_indexes[name].probe_answer(addr)
@@ -118,11 +115,3 @@ class TestEngineHammer:
 
         assert total == THREADS * (OPS_PER_THREAD // 4)
         assert metrics.counter("serve.lookups") == total
-        assert (
-            metrics.counter("serve.cache_hits")
-            + metrics.counter("serve.cache_misses")
-            == total
-        )
-        stats = engine.cache_stats()
-        assert stats["hits"] == metrics.counter("serve.cache_hits")
-        assert stats["misses"] >= metrics.counter("serve.cache_misses")

@@ -2,8 +2,9 @@
 
 Status codes are part of the serving contract: 400 malformed input, 404
 unknown route, 405 wrong verb (with ``Allow``), 411 missing
-Content-Length, 413 oversized batch, 503 total outage — and every
-4xx/5xx increments ``serve.errors``.  These tests speak raw
+Content-Length, 413 oversized batch — and every 4xx/5xx increments
+``serve.errors``.  A generation missing a vendor is not an error: it
+answers 200 with the degradation flagged on every surface.  These tests speak raw
 ``http.client`` so nothing in a client library papers over a wrong
 code, and they assert the counters moved.
 """
@@ -14,12 +15,12 @@ import time
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.net.ip import IPv4Address
 from repro.obs import MetricsRegistry
 from repro.serve import GeoServer, ServingEngine
 from repro.serve.http import MAX_BATCH_SIZE
 
-from tests.faults.conftest import CHAOS_SEED
+from tests.serve.test_lookup_splice import Client, reference_body
 
 
 @pytest.fixture(scope="module")
@@ -212,54 +213,51 @@ class TestLimits:
         assert payload["count"] == 10
 
 
-class TestOutage:
-    def test_total_outage_is_503_and_healthz_degrades(self, compiled_indexes):
-        """With every vendor raising, /lookup is a typed 503 — never a
-        200 full of fabricated answers — and /healthz says degraded."""
-        injector = FaultInjector(CHAOS_SEED, [FaultSpec(FaultKind.LOOKUP_RAISE)])
-        engine = ServingEngine(compiled_indexes, injector=injector, cache_size=None)
+class TestDegradedGeneration:
+    def test_missing_vendor_is_flagged_until_a_full_swap(
+        self, compiled_indexes, answer_plane
+    ):
+        """A generation booted without one vendor says so everywhere —
+        /healthz, the /statusz vendors block, an inactive plane, every
+        /lookup — and a swap to the full set puts /lookup back on the
+        spliced plane path, byte-identical to the per-request vote."""
+        names = sorted(compiled_indexes)
+        missing = names[0]
+        served = {name: compiled_indexes[name] for name in names[1:]}
+        engine = ServingEngine(served, plane=answer_plane, expected=names)
+        reference = ServingEngine(compiled_indexes)
         server = GeoServer(engine, port=0, metrics=MetricsRegistry())
         server.start_background()
+        client = Client(server)
         try:
-            status, _, body = raw_request(server, "GET", "/lookup?ip=8.8.8.8")
-            assert status == 503
-            assert "no healthy vendor" in body["error"]
-            assert errors_counted(server, "lookup", at_least=1) == 1
-
-            # Two more strikes trip every vendor's breaker (threshold 3),
-            # flipping liveness from ok to degraded.
-            raw_request(server, "GET", "/lookup?ip=8.8.8.8")
-            raw_request(server, "GET", "/lookup?ip=8.8.8.8")
             status, _, health = raw_request(server, "GET", "/healthz")
             assert status == 200
             assert health["status"] == "degraded" and health["degraded"]
+            _, _, statusz = raw_request(server, "GET", "/statusz")
+            assert statusz["plane"]["active"] is False
+            assert statusz["vendors"] == {
+                name: {"state": "missing" if name == missing else "healthy"}
+                for name in names
+            }
+            _, _, body = raw_request(server, "GET", "/lookup?ip=41.0.0.2")
+            assert body["degraded"] is True
+            assert body["degraded_vendors"] == [missing]
+            assert server.metrics.counter("plane.hits") == 0
 
-            status, _, statusz = raw_request(server, "GET", "/statusz")
-            assert status == 200
-            assert all(
-                vendor["state"] == "quarantined"
-                for vendor in statusz["vendors"].values()
-            )
-            assert "faults" in statusz["families"] or any(
-                name.startswith("serve.vendor_errors")
-                for name in statusz["counters"]
-            )
+            engine.swap(compiled_indexes, answer_plane)
+            _, _, health = raw_request(server, "GET", "/healthz")
+            assert health["status"] == "ok" and not health["degraded"]
+            _, _, statusz = raw_request(server, "GET", "/statusz")
+            assert statusz["plane"]["active"] is True
+            assert {v["state"] for v in statusz["vendors"].values()} == {"healthy"}
+            starts = answer_plane.parts()[0][::97]
+            addresses = [str(IPv4Address(start)) for start in starts]
+            for ip in addresses:
+                status, _, raw = client.lookup(f"ip={ip}", "healed")
+                assert status == 200
+                assert raw == reference_body(reference, ip, "healed"), ip
+            assert server.metrics.counter("plane.hits") == len(addresses)
         finally:
+            client.close()
             server.stop()
-
-    def test_batch_inlines_outage_per_item(self, compiled_indexes):
-        injector = FaultInjector(CHAOS_SEED, [FaultSpec(FaultKind.LOOKUP_RAISE)])
-        engine = ServingEngine(compiled_indexes, injector=injector, cache_size=None)
-        server = GeoServer(engine, port=0, metrics=MetricsRegistry())
-        server.start_background()
-        try:
-            body = json.dumps({"ips": ["8.8.8.8", "garbage", "9.9.9.9"]}).encode()
-            status, _, payload = raw_request(server, "POST", "/batch", body=body)
-            assert status == 200  # the batch survives; each item is honest
-            assert [sorted(item) for item in payload["results"]] == [
-                ["error", "ip"]
-            ] * 3
-            assert "no healthy vendor" in payload["results"][0]["error"]
-            assert "not an IPv4 address" in payload["results"][1]["error"]
-        finally:
-            server.stop()
+            reference.close()

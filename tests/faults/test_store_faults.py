@@ -1,6 +1,6 @@
 """Store filesystem faults: every lifecycle failure leaves serving intact.
 
-The runtime chaos matrix (test_chaos_matrix.py) proves per-request
+The snapshot chaos matrix (test_chaos_matrix.py) proves boot-time
 fail-closed behaviour; this suite proves the *lifecycle* equivalent — a
 candidate generation wrecked on disk after publish (manifest cut short,
 payload rotting under its digest, promised plane file gone) is rejected

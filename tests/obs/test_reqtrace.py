@@ -1,5 +1,7 @@
 """Per-request traces: span rows, path attribution, the slow-trace ring."""
 
+import time
+
 import pytest
 
 from repro.obs.reqtrace import (
@@ -117,6 +119,15 @@ class TestTraceRing:
         ring.record(finished(1.0))
         durations = [trace["duration_ms"] for trace in ring.slowest()]
         assert durations == [1.0]
+
+    def test_len_drops_traces_past_max_age(self):
+        """``len`` (``/statusz`` ``traces.retained``) must agree with
+        ``slowest()`` (``/tracez`` ``count``) once a trace ages out."""
+        ring = TraceRing(capacity=4, max_age_s=0.05)
+        ring.record(finished(1.0))
+        assert len(ring) == 1
+        time.sleep(0.1)
+        assert len(ring) == len(ring.slowest()) == 0
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

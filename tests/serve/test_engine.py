@@ -4,23 +4,7 @@ import pytest
 
 from repro.geodb import GeoDatabase, GeoRecord, single_prefix
 from repro.obs import MetricsRegistry
-from repro.serve import CompiledIndex, NoHealthyVendors, ServingEngine
-from repro.serve.engine import ResiliencePolicy
-
-
-class PoisonedIndex:
-    """A compiled index that raises for one specific address."""
-
-    def __init__(self, inner, poison: int):
-        self._inner = inner
-        self._poison = poison
-        self.probed: list[int] = []
-
-    def probe_answer(self, addr: int):
-        self.probed.append(addr)
-        if addr == self._poison:
-            raise RuntimeError("poisoned address")
-        return self._inner.probe_answer(addr)
+from repro.serve import ServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -54,21 +38,6 @@ class TestLookup:
                 got = answers[name]
                 assert (got.record if got is not None else None) == expected
 
-    def test_cache_serves_repeats(self, compiled_indexes):
-        metrics = MetricsRegistry()
-        engine = ServingEngine(compiled_indexes, cache_size=8, metrics=metrics)
-        first = engine.lookup("41.0.0.2")
-        second = engine.lookup("41.0.0.2")
-        assert first == second
-        assert metrics.counter("serve.cache_hits") == 1
-        assert metrics.counter("serve.cache_misses") == 1
-        assert engine.cache_stats()["hits"] == 1
-
-    def test_cache_can_be_disabled(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
-        assert engine.cache_stats() is None
-        assert engine.lookup("41.0.0.2") == engine.lookup("41.0.0.2")
-
     def test_invalid_address_raises_before_any_metrics(self, compiled_indexes):
         metrics = MetricsRegistry()
         engine = ServingEngine(compiled_indexes, metrics=metrics)
@@ -93,12 +62,8 @@ class TestBatch:
 
     def test_large_batch_fans_out_identically(self, small_scenario, compiled_indexes):
         addresses = list(small_scenario.ark_dataset.addresses)
-        threaded = ServingEngine(
-            compiled_indexes, batch_threshold=10, max_workers=4, cache_size=None
-        )
-        inline = ServingEngine(
-            compiled_indexes, batch_threshold=10**9, cache_size=None
-        )
+        threaded = ServingEngine(compiled_indexes, batch_threshold=10, max_workers=4)
+        inline = ServingEngine(compiled_indexes, batch_threshold=10**9)
         assert threaded.lookup_batch(addresses) == inline.lookup_batch(addresses)
 
     def test_batch_metrics(self, compiled_indexes):
@@ -112,36 +77,8 @@ class TestBatch:
     def test_empty_batch(self, engine):
         assert engine.lookup_batch([]) == []
 
-    def test_failing_batch_drains_before_raising_and_counts_once(
-        self, compiled_indexes
-    ):
-        """A mid-batch ServeError must not abandon the rest of the batch:
-        the error is raised only after every address resolved, so the
-        batch metrics that were counted describe work that really ran."""
-        poison = int.from_bytes(bytes([41, 0, 0, 3]), "big")
-        poisoned = {
-            name: PoisonedIndex(index, poison)
-            for name, index in compiled_indexes.items()
-        }
-        metrics = MetricsRegistry()
-        engine = ServingEngine(
-            poisoned,
-            cache_size=None,
-            metrics=metrics,
-            policy=ResiliencePolicy(retries=0, quarantine_threshold=100),
-        )
-        tail = int.from_bytes(bytes([41, 0, 0, 4]), "big")
-        with pytest.raises(NoHealthyVendors):
-            engine.lookup_batch(["41.0.0.2", "41.0.0.3", "41.0.0.4"])
-        assert metrics.counter("serve.batch_lookups") == 1
-        assert metrics.histograms_snapshot()["serve.batch_size"]["max"] == 3
-        # The address *after* the poisoned one was still resolved.
-        assert all(tail in index.probed for index in poisoned.values())
-
     def test_large_batches_reuse_one_pool(self, small_scenario, compiled_indexes):
-        engine = ServingEngine(
-            compiled_indexes, batch_threshold=4, max_workers=2, cache_size=None
-        )
+        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
         assert engine._pool is None  # lazy: no threads until a large batch
         addresses = list(small_scenario.ark_dataset.addresses[:16])
         engine.outcome_batch(addresses)
@@ -154,9 +91,7 @@ class TestBatch:
     def test_close_is_idempotent_and_the_engine_stays_usable(
         self, small_scenario, compiled_indexes
     ):
-        engine = ServingEngine(
-            compiled_indexes, batch_threshold=4, max_workers=2, cache_size=None
-        )
+        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
         addresses = list(small_scenario.ark_dataset.addresses[:12])
         engine.outcome_batch(addresses)
         engine.close()

@@ -109,7 +109,7 @@ def plane(compiled_indexes):
 @pytest.fixture(scope="module")
 def reference(compiled_indexes):
     """No plane, no cache: every lookup resolves and votes live."""
-    engine = ServingEngine(compiled_indexes, cache_size=None)
+    engine = ServingEngine(compiled_indexes)
     yield engine
     engine.close()
 
@@ -240,7 +240,7 @@ class TestDegradedGeneration:
         names = sorted(compiled_indexes)
         served = {name: compiled_indexes[name] for name in names[1:]}
         engine = ServingEngine(served, plane=plane, expected=names)
-        reference = ServingEngine(served, cache_size=None, expected=names)
+        reference = ServingEngine(served, expected=names)
         server = GeoServer(engine, port=0, metrics=MetricsRegistry())
         server.start_background()
         client = Client(server)

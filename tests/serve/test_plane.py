@@ -22,18 +22,17 @@ from repro.serve import (
     save_index_set,
     save_plane,
 )
-from repro.serve.engine import ResiliencePolicy
 
 
 @pytest.fixture(scope="module")
 def live_engine(compiled_indexes):
-    """The reference: no plane, no cache — every lookup resolves live."""
-    return ServingEngine(compiled_indexes, cache_size=None)
+    """The reference: no plane — every lookup resolves live."""
+    return ServingEngine(compiled_indexes)
 
 
 @pytest.fixture(scope="module")
 def plane_engine(compiled_indexes, answer_plane):
-    return ServingEngine(compiled_indexes, cache_size=None, plane=answer_plane)
+    return ServingEngine(compiled_indexes, plane=answer_plane)
 
 
 class TestEquivalence:
@@ -108,13 +107,10 @@ class TestEquivalence:
 
 
 class TestEngineHandshake:
-    def test_quorum_mismatch_is_refused(self, compiled_indexes, answer_plane):
+    def test_quorum_mismatch_is_refused(self, compiled_indexes):
+        strict = compile_plane(compiled_indexes, quorum_min=3)
         with pytest.raises(ValueError, match="quorum_min"):
-            ServingEngine(
-                compiled_indexes,
-                plane=answer_plane,
-                policy=ResiliencePolicy(quorum_min=3),
-            )
+            ServingEngine(compiled_indexes, plane=strict)
 
     def test_city_range_mismatch_is_refused(self, compiled_indexes, answer_plane):
         with pytest.raises(ValueError, match="city_range_km"):
@@ -156,32 +152,34 @@ class TestDegradedBypass:
     def test_failure_falls_back_and_recovery_returns_to_the_plane(
         self, compiled_indexes, answer_plane
     ):
+        """A generation that failed to load one vendor runs live; the
+        swap that brings the vendor back re-arms the plane."""
+        names = sorted(compiled_indexes)
         metrics = MetricsRegistry()
         engine = ServingEngine(
-            compiled_indexes,
-            cache_size=None,
+            {name: compiled_indexes[name] for name in names[1:]},
+            expected=names,
             metrics=metrics,
             plane=answer_plane,
         )
         address = "41.0.0.2"
-        healthy = engine.lookup_outcome(address)
-        assert metrics.counter("plane.hits") == 1
-        assert engine.plane_stats()["active"] is True
-
-        # One recorded failure (below the quarantine threshold) flips the
-        # fast gate: the next lookup runs the live path — which probes the
-        # perfectly healthy index, heals the streak, and re-arms the plane.
-        victim = engine.vendor_names()[0]
-        engine._record_failure(victim, RuntimeError("transient blip"))
         assert engine.plane_stats()["active"] is False
         assert engine.lookup_plane(address) is None
         fallback = engine.lookup_outcome(address)
+        assert fallback.degraded and fallback.missing == (names[0],)
         assert metrics.counter("plane.fallbacks") == 1
-        assert fallback == healthy  # the vendor answered fine live
+        assert metrics.counter("plane.hits") == 0
 
+        engine.swap(compiled_indexes, answer_plane)
         assert engine.plane_stats()["active"] is True
-        assert engine.lookup_outcome(address) == healthy
-        assert metrics.counter("plane.hits") == 2
+        healthy = engine.lookup_outcome(address)
+        assert not healthy.degraded
+        assert metrics.counter("plane.hits") == 1
+        assert {
+            name: answer
+            for name, answer in healthy.answers.items()
+            if name != names[0]
+        } == dict(fallback.answers)
 
     def test_missing_vendor_bypasses_the_plane_for_good(
         self, compiled_indexes, answer_plane, tmp_path
@@ -196,7 +194,6 @@ class TestDegradedBypass:
         engine = ServingEngine.from_snapshot_dir(
             root,
             expected=sorted(compiled_indexes),
-            cache_size=None,
             metrics=metrics,
             plane=answer_plane,
         )
@@ -204,7 +201,7 @@ class TestDegradedBypass:
         assert engine.plane_stats()["active"] is False
         assert engine.lookup_plane("41.0.0.2") is None
         outcome = engine.lookup_outcome("41.0.0.2")
-        assert outcome.degraded and victim in outcome.quarantined
+        assert outcome.degraded and outcome.missing == (victim,)
         assert metrics.counter("plane.hits") == 0
         assert metrics.counter("plane.fallbacks") == 1
 
@@ -234,9 +231,7 @@ class TestPersistence:
         self, compiled_indexes, answer_plane, live_engine, tmp_path, probe_addresses
     ):
         path = save_plane(answer_plane, tmp_path / "plane.rgpl")
-        engine = ServingEngine(
-            compiled_indexes, cache_size=None, plane=load_plane(path)
-        )
+        engine = ServingEngine(compiled_indexes, plane=load_plane(path))
         for address in probe_addresses[::41]:
             assert engine.lookup_outcome(address) == live_engine.lookup_outcome(
                 address

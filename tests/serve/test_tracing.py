@@ -1,9 +1,9 @@
 """Trace threading through the serving engine: span rows per path.
 
 Every request path must attribute itself honestly on the trace —
-``plane`` (precomputed cell), ``cache`` (LRU hit), ``live`` (full
-resolve), ``degraded`` (resolve with vendors missing) — and the span
-rows must stay bounded no matter how large a batch rides one trace.
+``plane`` (precomputed cell), ``live`` (full resolve), ``degraded``
+(resolve on a generation with vendors missing) — and the span rows must
+stay bounded no matter how large a batch rides one trace.
 """
 
 import pytest
@@ -13,15 +13,6 @@ from repro.obs.reqtrace import RequestTrace
 from repro.serve import ServingEngine
 
 
-class BoomIndex:
-    """A vendor index whose every probe raises."""
-
-    interval_count = 0
-
-    def probe_answer(self, addr):
-        raise RuntimeError("vendor backend down")
-
-
 @pytest.fixture()
 def traced():
     return RequestTrace("lookup")
@@ -29,7 +20,7 @@ def traced():
 
 class TestLivePath:
     def test_resolve_records_per_vendor_probe_spans(self, compiled_indexes, traced):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
+        engine = ServingEngine(compiled_indexes)
         engine.lookup_outcome("41.0.0.2", trace=traced)
         assert traced.path == "live"
         tree = traced.to_dict()
@@ -37,23 +28,12 @@ class TestLivePath:
         assert resolve["name"] == "resolve"
         probes = {span["name"] for span in resolve["children"]}
         assert probes == {f"probe:{name}" for name in compiled_indexes}
-        assert all(span["attrs"]["ok"] for span in resolve["children"])
 
     def test_untraced_lookup_matches_traced(self, compiled_indexes, traced):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
+        engine = ServingEngine(compiled_indexes)
         assert engine.lookup_outcome(
             "41.0.0.2", trace=traced
         ) == engine.lookup_outcome("41.0.0.2")
-
-
-class TestCachePath:
-    def test_cache_hit_is_attributed(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, cache_size=16)
-        engine.lookup_outcome("41.0.0.2")  # warm
-        trace = RequestTrace("lookup")
-        engine.lookup_outcome("41.0.0.2", trace=trace)
-        assert trace.path == "cache"
-        assert trace.to_dict()["spans"][0]["name"] == "cache.hit"
 
 
 class TestPlanePath:
@@ -111,19 +91,19 @@ class TestPlanePath:
 
 class TestDegradedPath:
     def test_failing_vendor_marks_the_trace_degraded(self, compiled_indexes):
-        name = next(iter(compiled_indexes))
-        indexes = {**compiled_indexes, f"{name}-broken": BoomIndex()}
-        engine = ServingEngine(indexes, cache_size=None)
+        """A vendor whose snapshot failed to load degrades every trace."""
+        names = sorted(compiled_indexes)
+        served = {name: compiled_indexes[name] for name in names[1:]}
+        engine = ServingEngine(served, expected=names)
         trace = RequestTrace("lookup")
         outcome = engine.lookup_outcome("41.0.0.2", trace=trace)
         assert outcome.degraded
         assert trace.path == "degraded"
         (resolve,) = trace.to_dict()["spans"]
         assert resolve["attrs"]["degraded"] is True
-        failed = [
-            span for span in resolve["children"] if not span["attrs"]["ok"]
-        ]
-        assert len(failed) == 1
+        assert resolve["attrs"]["missing"] == [names[0]]
+        probes = {span["name"] for span in resolve["children"]}
+        assert probes == {f"probe:{name}" for name in names[1:]}
 
 
 class TestBatchTracing:

@@ -117,9 +117,7 @@ class TestCliServing:
         from repro.serve import ServingEngine, load_index_set, load_plane
 
         plane = load_plane(target / "plane.rgpl")
-        engine = ServingEngine(
-            load_index_set(target), plane=plane, cache_size=None
-        )
+        engine = ServingEngine(load_index_set(target), plane=plane)
         assert engine.plane_stats()["active"] is True
         assert engine.lookup_plane("1.2.3.4") is not None
 
