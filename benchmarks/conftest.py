@@ -16,8 +16,10 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 import time
+from datetime import datetime, timezone
 
 import pytest
 
@@ -52,6 +54,27 @@ def _environment_block() -> dict[str, object]:
         "cpu_count": os.cpu_count(),
         "perf_counter_resolution_s": time.get_clock_info("perf_counter").resolution,
         "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
+    }
+
+
+def provenance() -> dict[str, object]:
+    """The commit, UTC date and environment a BENCH section was measured
+    at, so a stale number cannot pass for a current one.  A commit
+    ending in ``-dirty`` had uncommitted changes on top."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=_BENCH_JSON.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "measured_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "environment": _environment_block(),
     }
 
 

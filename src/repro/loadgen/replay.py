@@ -221,7 +221,7 @@ def _scrape_statusz(host: str, port: int, timeout_s: float) -> dict[str, Any] | 
     return {
         "rates": windows.get("rates", {}),
         "plane": payload.get("plane"),
-        "generation": payload.get("generation", {}).get("generation"),
+        "generation": payload.get("generation", {}).get("id"),
     }
 
 

@@ -170,6 +170,17 @@ class RequestTrace:
             span.duration_ms = duration_ms
         return index
 
+    def fit(self, count: int) -> int:
+        """How many of ``count`` further spans the cap still admits.
+
+        The rest are counted as dropped now, so a caller can skip timing
+        work whose rows would be thrown away.
+        """
+        with self._lock:
+            room = min(count, max(0, self.max_spans - len(self._spans)))
+            self.dropped_spans += count - room
+        return room
+
     def note_path(self, path: str) -> None:
         """Attribute this request to a serving path.
 

@@ -32,8 +32,9 @@ path is also the reference the ``/lookup`` differential oracle and the
 CI plane-vs-``--no-plane`` check hold the plane to.  An outcome read
 from the plane carries its cell, so :meth:`ServingEngine.consensus_of`
 (the enrichment pipeline's path) returns the compile-time vote rather
-than re-running it, and :meth:`ServingEngine.plane_cell` hands the HTTP
-layer the cell itself for its spliced ``/lookup`` body.
+than re-running it, and :meth:`ServingEngine.plane_cell` and
+:meth:`ServingEngine.plane_cells` hand the HTTP layer the cells
+themselves for its spliced ``/lookup`` and ``/batch`` bodies.
 
 Every piece of state a lookup touches — indexes, plane, missing
 vendors — lives inside one :class:`_Generation` object, and the engine
@@ -523,6 +524,7 @@ class ServingEngine:
             "active": not gen.missing,
             **plane.stats(),
             "rendered": plane.rendered_count,
+            "rendered_records": plane.rendered_record_count,
         }
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:
@@ -645,6 +647,41 @@ class ServingEngine:
         if trace is not None:
             return plane, _traced_probe(gen, plane, addr, trace)
         return plane, plane.probe(addr)
+
+    def plane_cells(self, addrs: Sequence[int], *, trace=None):
+        """``(plane, cells)`` for pre-validated address integers, cells in
+        input order, or ``None`` when the plane cannot answer.
+
+        The HTTP ``/batch`` hot path, read from one captured generation.
+        It counts what :meth:`outcome_batch` counts for a healthy batch:
+        one ``serve.batch_lookups``, one ``serve.batch_size``
+        observation, and one lookup and plane hit per address (a single
+        cell add; no ``serve.consensus``).  It traces the same ``batch``
+        span and ``plane.probe`` rows, except that probes past the
+        trace's span cap are counted as dropped without being timed.
+        ``None`` means no plane or a degraded generation; the caller then
+        takes :meth:`outcome_batch`.
+        """
+        gen = self._gen
+        plane = gen.plane
+        if plane is None or gen.missing:
+            return None
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.inc("serve.batch_lookups")
+            metrics.observe("serve.batch_size", len(addrs))
+            self._cell_plane_hit.add(len(addrs))
+        probe = plane.probe
+        if trace is None:
+            return plane, [probe(addr) for addr in addrs]
+        batch_span = trace.begin("batch", size=len(addrs))
+        timed = trace.fit(len(addrs))
+        cells = [_traced_probe(gen, plane, addr, trace) for addr in addrs[:timed]]
+        cells += [probe(addr) for addr in addrs[timed:]]
+        if addrs:
+            trace.note_path("plane")
+        trace.end(batch_span)
+        return plane, cells
 
     def lookup_plane(self, address: IPv4Address | str | int):
         """The precomputed :class:`~repro.serve.plane.PlaneAnswer` for

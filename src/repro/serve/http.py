@@ -14,7 +14,8 @@ Endpoints (all JSON):
 * ``GET /statusz`` — the full ``serve.*`` metrics snapshot (request and
   error counters, per-endpoint latency histograms with p50/p99
   estimates, rolling-window rates over the last 10s/60s, the plane
-  block with its ``rendered`` memo size) plus the per-vendor state
+  block with its ``rendered`` cell memo and ``rendered_records``
+  fragment memo sizes) plus the per-vendor state
   (``healthy`` or ``missing``) and the live snapshot generation (id,
   source, age, swap/rollback counters);
 * ``GET /metricsz`` — the same registry in Prometheus text exposition
@@ -37,6 +38,19 @@ no plane, a degraded generation, an address the strict parser
 rejects — takes the general path: resolve, vote, render per request.
 ``tests/serve/test_lookup_splice.py`` holds both paths to
 byte-identical bodies.
+
+A healthy ``/batch`` is parse, bisect, splice too.  Each item is parsed
+strictly; one the strict parser rejects goes through ``parse_address``
+alone, so a JSON int still gets a cell and anything else becomes a
+per-item error.  :meth:`ServingEngine.plane_cells` bisects every
+address on one generation, and the body is a join of item fragments:
+each item's ``answers`` comes from pre-encoded vendor keys and, per
+answer, the record's rendered fragments (memoised on the plane by
+:meth:`~repro.serve.plane.AnswerPlane.fragments`) around the encoded
+prefix.  No plane or a degraded generation takes the general path:
+``outcome_batch``, answer dicts and one ``json.dumps``.
+``tests/serve/test_batch_splice.py`` holds both to byte-identical
+bodies.
 
 Serving requests (``/lookup``, ``/batch``) are traced: the handler
 honours a client-sent ``X-Request-Id`` (sanitised) or mints one, threads
@@ -77,6 +91,7 @@ import time
 from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
@@ -261,6 +276,74 @@ def _cell_prefix(names: tuple[str, ...], cell, address: IPv4Address) -> bytes:
     )
     payload["ip"] = ""
     return json.dumps(payload, sort_keys=True)[:-2].encode("utf-8")
+
+
+#: Stands in for the prefix when a record's answer is rendered once to
+#: be cut into fragments; its JSON form cannot occur in a record field's
+#: encoding at the ``"prefix": `` key (a value's quotes are escaped).
+_PREFIX_MARK = '"prefix": "\\u0000"'
+
+
+def _record_fragments(record) -> tuple[str, str]:
+    """``record``'s rendered answer split around its prefix value.
+
+    Rendered by ``_answer_to_json`` itself with a placeholder prefix, so
+    one renderer still defines the answer's shape; ``head`` ends with
+    the ``"prefix": `` key and ``tail`` starts after the value.
+    """
+    rendered = json.dumps(
+        _answer_to_json(IndexAnswer(prefix="\0", record=record)), sort_keys=True
+    )
+    head, tail = rendered.split(_PREFIX_MARK)
+    return head + '"prefix": ', tail
+
+
+def _batch_answers(plane, cells: list) -> list[str]:
+    """Each healthy cell's ``answers`` object, as ``json.dumps`` renders it.
+
+    Vendor keys are encoded once per batch; each answer is its record's
+    memoised fragments around the encoded prefix.
+    """
+    keys = [(name, _encode_string(name) + ": ") for name in sorted(plane.names)]
+    fragments = plane.fragments
+    rendered = []
+    for cell in cells:
+        answers = cell.answers
+        parts = []
+        for name, key in keys:
+            answer = answers[name]
+            if answer is None:
+                parts.append(key + "null")
+            else:
+                head, tail = fragments(answer.record, _record_fragments)
+                parts.append(key + head + _encode_string(answer.prefix) + tail)
+        rendered.append("{" + ", ".join(parts) + "}")
+    return rendered
+
+
+def _batch_body(
+    items: list[str | dict[str, str]], answers: list[str], trace_id: str
+) -> bytes:
+    """A healthy ``/batch`` body, byte-identical to ``json.dumps(...,
+    sort_keys=True)`` of the general path's response.
+
+    ``items`` holds each input's ``ip`` text (answered by the next of
+    ``answers``, in order) or its error item.  Neither the strict-parsed
+    or canonical ``ip`` text nor the trace id needs JSON escaping.
+    """
+    answers = iter(answers)
+    parts = [
+        json.dumps(item, sort_keys=True)
+        if isinstance(item, dict)
+        else '{"answers": ' + next(answers) + ', "ip": "' + item + '"}'
+        for item in items
+    ]
+    body = '{"count": %d, "results": [%s], "trace_id": "%s"}' % (
+        len(items),
+        ", ".join(parts),
+        trace_id,
+    )
+    return body.encode("utf-8")
 
 
 def _stderr_line(line: str) -> None:
@@ -546,30 +629,46 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
 
-        # Validate up front so the fan-out only sees clean addresses;
-        # invalid entries come back as per-item errors, not a failed batch.
+        # The strict parser takes the common dotted quad; an item it
+        # rejects gets parse_address on its own, which also admits JSON
+        # ints and words the per-item error.  Invalid entries come back
+        # as per-item errors, not a failed batch.
         engine = self.engine
-        names = engine.vendor_names()
-        results: list[dict[str, Any] | None] = [None] * len(ips)
-        valid: list[tuple[int, Any]] = []
-        for i, ip in enumerate(ips):
-            try:
-                valid.append((i, parse_address(ip)))
-            except ValueError as exc:
-                results[i] = {"ip": str(ip), "error": str(exc)}
         trace = self._trace
-        outcomes = engine.outcome_batch(
-            [address for _, address in valid], trace=trace
-        )
-        for (i, address), outcome in zip(valid, outcomes):
-            item: dict[str, Any] = {
-                "ip": str(address),
+        items: list[str | dict[str, str]] = []  # "ip" text, or an error item
+        addrs: list[int] = []
+        for ip in ips:
+            addr = strict_address_int(ip)
+            if addr is None:
+                try:
+                    address = parse_address(ip)
+                except ValueError as exc:
+                    items.append({"ip": str(ip), "error": str(exc)})
+                    continue
+                addr, ip = int(address), str(address)
+            addrs.append(addr)
+            items.append(ip)
+        hit = engine.plane_cells(addrs, trace=trace)
+        if hit is not None:
+            body = _batch_body(items, _batch_answers(*hit), trace.trace_id)
+            self._send_body(200, body, "application/json", endpoint)
+            return
+        names = engine.vendor_names()
+        outcomes = iter(engine.outcome_batch(addrs, trace=trace))
+        results: list[dict[str, Any]] = []
+        for item in items:
+            if isinstance(item, dict):
+                results.append(item)
+                continue
+            outcome = next(outcomes)
+            result: dict[str, Any] = {
+                "ip": item,
                 "answers": _outcome_answers_json(names, outcome),
             }
             if outcome.degraded:
-                item["degraded"] = True
-                item["degraded_vendors"] = list(outcome.unavailable())
-            results[i] = item
+                result["degraded"] = True
+                result["degraded_vendors"] = list(outcome.unavailable())
+            results.append(result)
         response: dict[str, Any] = {"count": len(results), "results": results}
         if trace is not None:
             response["trace_id"] = trace.trace_id

@@ -32,7 +32,11 @@ cached bytes.  The memo is filled lazily and capped at
 :data:`RENDERED_CELLS_MAX` cells (~4 MB): rendering every cell of a
 100K-interface tier eagerly would cost ~40 MB of resident memory, while
 Zipf-shaped traffic repeats a few thousand cells.  It lives and dies
-with the plane, i.e. with one snapshot generation.
+with the plane, i.e. with one snapshot generation.  A second memo
+(:meth:`AnswerPlane.fragments`) keeps, per record, the rendered answer
+on either side of its prefix, from which ``/batch`` assembles each
+item's answers; records repeat far more than cells (the 100K tier's
+42,476 cells share 3,959 records), so it needs no cap.
 
 The plane only ever encodes the *healthy* answer: the serving engine
 consults it only for a generation with every vendor loaded.  A
@@ -56,7 +60,7 @@ import pathlib
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
 from repro.geo.coordinates import GeoPoint
@@ -170,6 +174,7 @@ class AnswerPlane:
         "_cell_ids",
         "_cells",
         "_rendered",
+        "_fragments",
         "probe",
     )
 
@@ -200,6 +205,9 @@ class AnswerPlane:
         #: id(cell) -> rendered response bytes; cells live as long as
         #: the plane, so their ids are stable keys.
         self._rendered: dict[int, bytes] = {}
+        #: id(record) -> its ``/batch`` answer fragments; records live
+        #: as long as the cells that hold them.
+        self._fragments: dict[int, tuple[str, str]] = {}
 
         # One slot of leading padding so the bisect result indexes the
         # cell list directly (bisect_right over starts beginning at 0
@@ -259,6 +267,28 @@ class AnswerPlane:
     def rendered_count(self) -> int:
         """Cells with a memoised rendering."""
         return len(self._rendered)
+
+    def fragments(
+        self, record: GeoRecord, render: Callable[[GeoRecord], tuple[str, str]]
+    ) -> tuple[str, str]:
+        """``record``'s rendered answer around its prefix, as ``(head,
+        tail)``: ``render(record)`` on first use, memoised after.
+
+        Keyed on the record object, so the memo is bounded by the
+        records the plane's cells hold (one object per distinct record
+        in a loaded plane) and needs no cap.  Like the cell memo it is
+        filled without a lock (racing renderers store equal strings) and
+        dies with the plane's generation.
+        """
+        pair = self._fragments.get(id(record))
+        if pair is None:
+            pair = self._fragments[id(record)] = render(record)
+        return pair
+
+    @property
+    def rendered_record_count(self) -> int:
+        """Records with memoised answer fragments."""
+        return len(self._fragments)
 
     # -- inspection ----------------------------------------------------------
 

@@ -115,3 +115,34 @@ class TestEngineHammer:
 
         assert total == THREADS * (OPS_PER_THREAD // 4)
         assert metrics.counter("serve.lookups") == total
+
+    def test_concurrent_plane_batches_reconcile(
+        self, compiled_indexes, answer_plane, chaos_addresses
+    ):
+        """Spliced-batch cells and single plane lookups, interleaved: every
+        address is one ``serve.lookups`` and one ``plane.hits``."""
+        metrics = MetricsRegistry()
+        engine = ServingEngine(compiled_indexes, plane=answer_plane, metrics=metrics)
+        barrier = threading.Barrier(THREADS)
+
+        def hammer(worker: int) -> tuple[int, int]:
+            rng = random.Random(f"{CHAOS_SEED}|plane-batch|{worker}")
+            barrier.wait()
+            lookups = batches = 0
+            for _ in range(OPS_PER_THREAD // 20):
+                addrs = rng.sample(chaos_addresses, rng.randrange(0, 32))
+                _, cells = engine.plane_cells(addrs)
+                assert cells == [answer_plane.probe(addr) for addr in addrs]
+                engine.lookup_outcome(addrs[0] if addrs else 0)
+                lookups += len(addrs) + 1
+                batches += 1
+            return lookups, batches
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            totals = list(pool.map(hammer, range(THREADS)))
+
+        lookups = sum(total for total, _ in totals)
+        assert metrics.counter("serve.lookups") == lookups
+        assert metrics.counter("plane.hits") == lookups
+        assert metrics.counter("serve.batch_lookups") == sum(b for _, b in totals)
+        assert metrics.counter("serve.consensus") == 0

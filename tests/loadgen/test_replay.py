@@ -64,6 +64,7 @@ class TestReplay:
         # module server is shared across tests, so earlier traffic can
         # only push the window total higher, never lower.
         assert rates["rps"] * 10.0 >= report.requests * 0.8
+        assert report.server["generation"] == server.engine.generation_id
 
     def test_uncovered_traffic_is_not_an_error(self, live):
         server, pool = live

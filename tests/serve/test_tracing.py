@@ -6,11 +6,15 @@ Every request path must attribute itself honestly on the trace —
 stay bounded no matter how large a batch rides one trace.
 """
 
+import json
+import urllib.request
+
 import pytest
 
+from repro.net.ip import parse_address
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.reqtrace import RequestTrace
-from repro.serve import ServingEngine
+from repro.serve import GeoServer, ServingEngine
 
 
 @pytest.fixture()
@@ -124,3 +128,55 @@ class TestBatchTracing:
         batch = trace.to_dict()["spans"][0]
         assert batch["name"] == "batch"
         assert batch["attrs"]["size"] == 2
+
+    @pytest.mark.parametrize(
+        ("size", "max_spans"), [(50, 10), (50, 1), (50, 200), (0, 10)]
+    )
+    def test_spliced_batch_traces_like_outcome_batch(
+        self, compiled_indexes, answer_plane, size, max_spans
+    ):
+        engine = ServingEngine(compiled_indexes, plane=answer_plane)
+        addresses = [f"41.0.0.{2 + i % 7}" for i in range(size)]
+        general = RequestTrace("batch", max_spans=max_spans)
+        outcomes = engine.outcome_batch(addresses, trace=general)
+        spliced = RequestTrace("batch", max_spans=max_spans)
+        plane, cells = engine.plane_cells(
+            [int(parse_address(address)) for address in addresses], trace=spliced
+        )
+        assert plane is answer_plane
+        assert [outcome.cell for outcome in outcomes] == cells
+        assert spliced.span_count() == general.span_count()
+        assert spliced.dropped_spans == general.dropped_spans
+        assert spliced.path == general.path
+        trees = [trace.to_dict()["spans"] for trace in (general, spliced)]
+        assert [tree[0]["name"] for tree in trees] == ["batch", "batch"]
+        assert trees[1][0]["attrs"]["size"] == trees[0][0]["attrs"]["size"] == size
+        assert [s["name"] for s in trees[1]] == [s["name"] for s in trees[0]]
+
+    def test_tracez_attributes_a_spliced_batch_to_the_plane(
+        self, compiled_indexes, answer_plane
+    ):
+        engine = ServingEngine(compiled_indexes, plane=answer_plane)
+        server = GeoServer(engine, port=0, metrics=MetricsRegistry())
+        server.start_background()
+        try:
+            request = urllib.request.Request(
+                server.url + "/batch",
+                data=json.dumps({"ips": ["41.0.0.2", "41.0.0.3"]}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 200
+            with urllib.request.urlopen(server.url + "/tracez", timeout=10) as response:
+                (trace,) = json.loads(response.read())["slowest"]
+            assert trace["endpoint"] == "batch"
+            assert trace["path"] == "plane"
+            assert [span["name"] for span in trace["spans"]] == [
+                "batch", "plane.probe", "plane.probe"
+            ]
+            assert (
+                server.metrics.counter("serve.path", path="plane", endpoint="batch")
+                == 1
+            )
+        finally:
+            server.stop()
