@@ -11,8 +11,9 @@ Four layers, on both paths:
   ``inet_pton`` parse (spliced);
 * ``locate`` — ``outcome_batch`` with its worker pool (general) or one
   ``plane_cells`` bisect per address (spliced);
-* ``render`` — the per-item answer dicts (general) or the answers
-  fragments spliced from per-record memoised JSON (spliced, memo warm);
+* ``render`` — the per-item answer dicts (general) or each cell's
+  ``answers`` bytes read from the plane's per-cell memo (spliced, memo
+  warm);
 * ``join`` — one ``json.dumps(sort_keys=True)`` of the whole response
   (general) or the string join of the item fragments (spliced).
 
@@ -20,7 +21,10 @@ Both paths must produce identical bodies for every batch before any
 timing counts.  The ``serve_batch`` section of ``BENCH_pipeline.json``
 records ns per address per layer with its commit, date and
 environment; the gate is only that the spliced total beats the general
-one.
+one.  The spliced render is also recorded cold: the first pass over an
+untouched plane, which assembles each cell's answers from per-record
+fragments and fills the memo (cells repeating within that pass already
+hit it), next to the memo's size after it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,9 @@ def test_serve_batch_layers(tmp_path, record_perf):
         lambda ips: [strict_address_int(ip) for ip in ips], batches
     )
     spliced["locate"], hits = _best_ns_per_addr(engine.plane_cells, addrs)
+    render_cold, _ = _best_ns_per_addr(
+        lambda hit: _batch_answers(*hit), hits, runs=1
+    )
     spliced["render"], answers = _best_ns_per_addr(
         lambda hit: _batch_answers(*hit), hits
     )
@@ -118,6 +125,12 @@ def test_serve_batch_layers(tmp_path, record_perf):
         "batches": BATCHES,
         "plane_cells": plane.cell_count,
         "rendered_records": plane.rendered_record_count,
+        "rendered_answers": plane.rendered_answers_count,
+        "rendered_answers_bytes": plane.rendered_answers_bytes,
+        "spliced_render_ns_per_addr": {
+            "cold": round(render_cold, 1),
+            "warm": round(spliced["render"], 1),
+        },
         "general_ns_per_addr": {k: round(v, 1) for k, v in general.items()},
         "spliced_ns_per_addr": {k: round(v, 1) for k, v in spliced.items()},
         "speedup": round(general["total"] / spliced["total"], 2),

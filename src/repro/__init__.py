@@ -20,26 +20,15 @@ Quick start::
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "build_scenario",
-    "ScenarioConfig",
-    "RouterGeolocationStudy",
-]
+from repro._lazy import lazy_exports as _lazy_exports
 
-
-def __getattr__(name: str):
-    # Lazy imports keep `import repro` cheap and avoid import cycles while
-    # still exposing the primary public API at the package root.
-    if name == "build_scenario":
-        from repro.scenario.build import build_scenario
-
-        return build_scenario
-    if name == "ScenarioConfig":
-        from repro.scenario.config import ScenarioConfig
-
-        return ScenarioConfig
-    if name == "RouterGeolocationStudy":
-        from repro.core.pipeline import RouterGeolocationStudy
-
-        return RouterGeolocationStudy
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# Lazy, so `import repro` stays cheap and free of import cycles while the
+# primary public API is still exposed at the package root.
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "scenario.build": ("build_scenario",),
+        "scenario.config": ("ScenarioConfig",),
+        "core.pipeline": ("RouterGeolocationStudy",),
+    },
+)

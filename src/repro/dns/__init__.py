@@ -1,35 +1,24 @@
 """rDNS substrate: hint dictionary, hostname conventions, DRoP decoding."""
 
-from repro.dns.drop import DecodedLocation, DropEngine
-from repro.dns.hints import Hint, HintDictionary, HintKind, city_slug
-from repro.dns.hostnames import (
-    EXTRA_CONVENTIONS,
-    GROUND_TRUTH_CONVENTIONS,
-    DomainConvention,
-    HostnameFactory,
-)
-from repro.dns.rdns import (
-    ChurnModel,
-    RdnsConfig,
-    RdnsEvolution,
-    RdnsService,
-    evolve,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "DecodedLocation",
-    "DropEngine",
-    "Hint",
-    "HintDictionary",
-    "HintKind",
-    "city_slug",
-    "EXTRA_CONVENTIONS",
-    "GROUND_TRUTH_CONVENTIONS",
-    "DomainConvention",
-    "HostnameFactory",
-    "ChurnModel",
-    "RdnsConfig",
-    "RdnsEvolution",
-    "RdnsService",
-    "evolve",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "drop": ("DecodedLocation", "DropEngine"),
+        "hints": ("Hint", "HintDictionary", "HintKind", "city_slug"),
+        "hostnames": (
+            "EXTRA_CONVENTIONS",
+            "GROUND_TRUTH_CONVENTIONS",
+            "DomainConvention",
+            "HostnameFactory",
+        ),
+        "rdns": (
+            "ChurnModel",
+            "RdnsConfig",
+            "RdnsEvolution",
+            "RdnsService",
+            "evolve",
+        ),
+    },
+)

@@ -29,7 +29,8 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
     starts with ``"not an IPv4 address"``, so callers (the database lookup
     path, the HTTP serving layer) can catch bad input without knowing the
     zoo of :mod:`ipaddress` exception types (``AddressValueError``,
-    ``OverflowError``, ``TypeError``).
+    ``OverflowError``, ``TypeError``).  A ``bool`` is rejected too:
+    :mod:`ipaddress` would take ``True`` as the integer 1.
     """
     if isinstance(text, IPv4Address):
         return text
@@ -39,6 +40,8 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
         addr = strict_address_int(text)
         if addr is not None:
             return IPv4Address(addr)
+    elif isinstance(text, bool):
+        raise ValueError(f"not an IPv4 address: {text!r}")
     try:
         return ipaddress.IPv4Address(text)
     except (ValueError, OverflowError, TypeError) as exc:

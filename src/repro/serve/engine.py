@@ -525,6 +525,8 @@ class ServingEngine:
             **plane.stats(),
             "rendered": plane.rendered_count,
             "rendered_records": plane.rendered_record_count,
+            "rendered_answers": plane.rendered_answers_count,
+            "rendered_answers_bytes": plane.rendered_answers_bytes,
         }
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:

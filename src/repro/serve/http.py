@@ -14,8 +14,10 @@ Endpoints (all JSON):
 * ``GET /statusz`` — the full ``serve.*`` metrics snapshot (request and
   error counters, per-endpoint latency histograms with p50/p99
   estimates, rolling-window rates over the last 10s/60s, the plane
-  block with its ``rendered`` cell memo and ``rendered_records``
-  fragment memo sizes) plus the per-vendor state
+  block with its memo sizes: ``rendered`` (``/lookup`` prefixes, in
+  cells), ``rendered_records`` (answer fragments, in records) and
+  ``rendered_answers``/``rendered_answers_bytes`` (``/batch`` answers,
+  in cells and bytes)) plus the per-vendor state
   (``healthy`` or ``missing``) and the live snapshot generation (id,
   source, age, swap/rollback counters);
 * ``GET /metricsz`` — the same registry in Prometheus text exposition
@@ -41,14 +43,24 @@ byte-identical bodies.
 
 A healthy ``/batch`` is parse, bisect, splice too.  Each item is parsed
 strictly; one the strict parser rejects goes through ``parse_address``
-alone, so a JSON int still gets a cell and anything else becomes a
-per-item error.  :meth:`ServingEngine.plane_cells` bisects every
-address on one generation, and the body is a join of item fragments:
-each item's ``answers`` comes from pre-encoded vendor keys and, per
-answer, the record's rendered fragments (memoised on the plane by
+alone, so a JSON int still gets a cell and anything else (a JSON
+boolean included) becomes a per-item error.
+:meth:`ServingEngine.plane_cells` bisects every address on one
+generation, and the body is one bytes join of item parts.  Each item's
+``answers`` is its cell's rendered bytes, read from a third memo on the
+plane (:meth:`~repro.serve.plane.AnswerPlane.remember_answers`): a
+cell's answers are fixed for a generation, and re-assembling them per
+request was 3.4 of the 5.2 µs per address the handler spent outside
+HTTP framing.  A cell's
+first batch assembles them from pre-encoded vendor keys and, per
+answer, the record's rendered fragments (memoised by
 :meth:`~repro.serve.plane.AnswerPlane.fragments`) around the encoded
-prefix.  No plane or a degraded generation takes the general path:
-``outcome_batch``, answer dicts and one ``json.dumps``.
+prefix.  Uniform batches touch far more cells than Zipf lookups, so
+this memo is capped by bytes
+(:data:`~repro.serve.plane.RENDERED_ANSWERS_MAX_BYTES`), and a cell
+past the cap is assembled per request.  No plane or a degraded
+generation takes the general path: ``outcome_batch``, answer dicts and
+one ``json.dumps``.
 ``tests/serve/test_batch_splice.py`` holds both to byte-identical
 bodies.
 
@@ -298,52 +310,76 @@ def _record_fragments(record) -> tuple[str, str]:
     return head + '"prefix": ', tail
 
 
-def _batch_answers(plane, cells: list) -> list[str]:
-    """Each healthy cell's ``answers`` object, as ``json.dumps`` renders it.
+def _cell_answers(plane, keys: list[tuple[str, str]], cell) -> bytes:
+    """A healthy cell's ``answers`` object, as ``json.dumps`` renders it
+    (ASCII, since ``json.dumps`` escapes everything else).
 
-    Vendor keys are encoded once per batch; each answer is its record's
-    memoised fragments around the encoded prefix.
+    ``keys`` pairs each vendor, in sorted order, with its encoded key;
+    each answer is its record's memoised fragments around the encoded
+    prefix.
     """
-    keys = [(name, _encode_string(name) + ": ") for name in sorted(plane.names)]
     fragments = plane.fragments
+    answers = cell.answers
+    parts = []
+    for name, key in keys:
+        answer = answers[name]
+        if answer is None:
+            parts.append(key + "null")
+        else:
+            head, tail = fragments(answer.record, _record_fragments)
+            parts.append(key + head + _encode_string(answer.prefix) + tail)
+    return ("{" + ", ".join(parts) + "}").encode("ascii")
+
+
+def _batch_answers(plane, cells: list) -> list[bytes]:
+    """Each healthy cell's rendered ``answers``: one read of the plane's
+    per-cell memo, rendered by :func:`_cell_answers` on a miss."""
+    keys = [(name, _encode_string(name) + ": ") for name in sorted(plane.names)]
+    memo = plane.rendered_answers.get
     rendered = []
     for cell in cells:
-        answers = cell.answers
-        parts = []
-        for name, key in keys:
-            answer = answers[name]
-            if answer is None:
-                parts.append(key + "null")
-            else:
-                head, tail = fragments(answer.record, _record_fragments)
-                parts.append(key + head + _encode_string(answer.prefix) + tail)
-        rendered.append("{" + ", ".join(parts) + "}")
+        answers = memo(id(cell))
+        if answers is None:
+            answers = plane.remember_answers(
+                cell, _cell_answers(plane, keys, cell)
+            )
+        rendered.append(answers)
     return rendered
 
 
 def _batch_body(
-    items: list[str | dict[str, str]], answers: list[str], trace_id: str
+    items: list[str | dict[str, str]], answers: list[bytes], trace_id: str
 ) -> bytes:
     """A healthy ``/batch`` body, byte-identical to ``json.dumps(...,
     sort_keys=True)`` of the general path's response.
 
     ``items`` holds each input's ``ip`` text (answered by the next of
     ``answers``, in order) or its error item.  Neither the strict-parsed
-    or canonical ``ip`` text nor the trace id needs JSON escaping.
+    or canonical ``ip`` text nor the trace id needs JSON escaping.  The
+    body is one join over a flat list of parts: per-item concatenation
+    or ``%`` formatting would copy every item's answers once more.
     """
     answers = iter(answers)
-    parts = [
-        json.dumps(item, sort_keys=True)
-        if isinstance(item, dict)
-        else '{"answers": ' + next(answers) + ', "ip": "' + item + '"}'
-        for item in items
-    ]
-    body = '{"count": %d, "results": [%s], "trace_id": "%s"}' % (
-        len(items),
-        ", ".join(parts),
-        trace_id,
-    )
-    return body.encode("utf-8")
+    parts = [b'{"count": %d, "results": [' % len(items)]
+    extend = parts.extend
+    separator = b""
+    for item in items:
+        if isinstance(item, dict):
+            extend((separator, json.dumps(item, sort_keys=True).encode("ascii")))
+        else:
+            extend(
+                (
+                    separator,
+                    b'{"answers": ',
+                    next(answers),
+                    b', "ip": "',
+                    item.encode("ascii"),
+                    b'"}',
+                )
+            )
+        separator = b", "
+    parts.append(b'], "trace_id": "%s"}' % trace_id.encode("ascii"))
+    return b"".join(parts)
 
 
 def _stderr_line(line: str) -> None:

@@ -1,62 +1,39 @@
 """Synthetic Internet topology and measurement infrastructure."""
 
-from repro.topology.ark import (
-    ArkMonitor,
-    ArkTopoDataset,
-    collect_topology,
-    place_monitors,
-    random_routed_address,
-)
-from repro.topology.builder import (
-    GENERIC_TIER1_SPECS,
-    GROUND_TRUTH_DOMAIN_SPECS,
-    SyntheticInternet,
-    TopologyBuilder,
-    TopologyConfig,
-    TransitSpec,
-)
-from repro.topology.itdk import AliasMap, AliasResolver
-from repro.topology.policy import (
-    RelationshipError,
-    is_valley_free,
-    relationship_census,
-    valley_free_paths,
-)
-from repro.topology.router import Interface, PoP, Router
-from repro.topology.rtt import (
-    FIBER_KM_PER_MS,
-    RttModel,
-    max_distance_km,
-    propagation_rtt_ms,
-)
-from repro.topology.traceroute import Hop, TracerouteEngine, TracerouteResult
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "ArkMonitor",
-    "ArkTopoDataset",
-    "collect_topology",
-    "place_monitors",
-    "random_routed_address",
-    "GENERIC_TIER1_SPECS",
-    "GROUND_TRUTH_DOMAIN_SPECS",
-    "SyntheticInternet",
-    "TopologyBuilder",
-    "TopologyConfig",
-    "TransitSpec",
-    "AliasMap",
-    "AliasResolver",
-    "Interface",
-    "PoP",
-    "Router",
-    "FIBER_KM_PER_MS",
-    "RttModel",
-    "max_distance_km",
-    "propagation_rtt_ms",
-    "RelationshipError",
-    "is_valley_free",
-    "relationship_census",
-    "valley_free_paths",
-    "Hop",
-    "TracerouteEngine",
-    "TracerouteResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ark": (
+            "ArkMonitor",
+            "ArkTopoDataset",
+            "collect_topology",
+            "place_monitors",
+            "random_routed_address",
+        ),
+        "builder": (
+            "GENERIC_TIER1_SPECS",
+            "GROUND_TRUTH_DOMAIN_SPECS",
+            "SyntheticInternet",
+            "TopologyBuilder",
+            "TopologyConfig",
+            "TransitSpec",
+        ),
+        "itdk": ("AliasMap", "AliasResolver"),
+        "router": ("Interface", "PoP", "Router"),
+        "rtt": (
+            "FIBER_KM_PER_MS",
+            "RttModel",
+            "max_distance_km",
+            "propagation_rtt_ms",
+        ),
+        "policy": (
+            "RelationshipError",
+            "is_valley_free",
+            "relationship_census",
+            "valley_free_paths",
+        ),
+        "traceroute": ("Hop", "TracerouteEngine", "TracerouteResult"),
+    },
+)

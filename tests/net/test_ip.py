@@ -85,6 +85,8 @@ class TestParsing:
             3.14,
             None,
             b"\x01",
+            True,  # a JSON boolean, not the integer 1
+            False,
         ],
     )
     def test_parse_address_rejects_garbage_uniformly(self, bad):
@@ -96,6 +98,11 @@ class TestParsing:
     def test_parse_address_error_names_the_input(self):
         with pytest.raises(ValueError, match="'10\\.0\\.0\\.999'"):
             parse_address("10.0.0.999")
+
+    def test_parse_address_rejects_bool_with_the_uniform_message(self):
+        with pytest.raises(ValueError) as raised:
+            parse_address(True)
+        assert str(raised.value) == "not an IPv4 address: True"
 
 
 class TestStrictFastPath:

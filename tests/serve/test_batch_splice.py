@@ -13,7 +13,10 @@ Covered: every answer-plane interval start (in chunks), class-E misses,
 mixed batches (bad strings, JSON ints, non-string items, duplicates),
 the empty batch, a record whose city and region need escaping, a
 generation with one vendor missing (the general path), and a swap
-between generations.  ``serve.lookups``, ``plane.hits``,
+between generations.  The per-cell answers memo must not show: bodies
+are the same on a memo miss, a memo hit and past its byte cap, and a
+swap leaves the old plane's memo as it was.  JSON booleans are per-item
+errors on every path.  ``serve.lookups``, ``plane.hits``,
 ``serve.batch_lookups`` and the ``serve.batch_size`` count must stay
 exact, with ``serve.consensus`` untouched.
 """
@@ -22,6 +25,8 @@ import http.client
 import json
 
 import pytest
+
+import repro.serve.plane as plane_module
 
 from repro.geodb import GeoDatabase, GeoRecord, single_prefix
 from repro.net.ip import IPv4Address, parse_address
@@ -75,6 +80,10 @@ class Client:
         )
         response = self._conn.getresponse()
         return response.status, response.read()
+
+    def statusz(self) -> dict:
+        self._conn.request("GET", "/statusz")
+        return json.loads(self._conn.getresponse().read())
 
     def close(self) -> None:
         self._conn.close()
@@ -214,11 +223,101 @@ class TestHealthyPlane:
         assert body == reference_body(reference, ips, "large")
         assert server.engine._pool is None
 
-    def test_statusz_reports_the_record_memo(self, served, plane):
-        server, client = served
+    def test_statusz_reports_the_memos(self, served, plane):
+        _, client = served
         client.batch(["41.0.0.2"], "statusz")
-        block = server.engine.plane_stats()
+        block = client.statusz()["plane"]
         assert block["rendered_records"] == plane.rendered_record_count > 0
+        assert block["rendered_answers"] == plane.rendered_answers_count > 0
+        assert (
+            block["rendered_answers_bytes"]
+            == plane.rendered_answers_bytes
+            == sum(map(len, plane.rendered_answers.values()))
+        )
+
+
+class TestAnswersMemo:
+    """The per-cell answers memo: filled on a cell's first batch, read
+    after, capped by bytes, and invisible in the bodies."""
+
+    @pytest.fixture
+    def fresh(self, compiled_indexes):
+        """A server over a plane no request has touched yet."""
+        plane = compile_plane(compiled_indexes)
+        server, client = serve(ServingEngine(compiled_indexes, plane=plane))
+        yield plane, client
+        client.close()
+        server.stop()
+
+    def test_hit_bodies_equal_miss_bodies(self, fresh, reference):
+        plane, client = fresh
+        starts = plane.parts()[0]
+        ips = [str(IPv4Address(start)) for start in starts[:: max(1, len(starts) // 200)]]
+        _, missed = client.batch(ips, "memo")
+        filled = plane.rendered_answers_count, plane.rendered_answers_bytes
+        assert filled[0] == len({id(plane.lookup(ip)) for ip in ips})
+        _, hit = client.batch(ips, "memo")
+        assert hit == missed == reference_body(reference, ips, "memo")
+        assert (plane.rendered_answers_count, plane.rendered_answers_bytes) == filled
+
+    def test_past_the_byte_cap_bodies_stay_identical(
+        self, fresh, reference, monkeypatch
+    ):
+        monkeypatch.setattr(plane_module, "RENDERED_ANSWERS_MAX_BYTES", 1)
+        plane, client = fresh
+        ips = [str(IPv4Address(start)) for start in plane.parts()[0][:CHUNK]]
+        for attempt in range(2):
+            status, body = client.batch(ips, "capped")
+            assert status == 200
+            assert body == reference_body(reference, ips, "capped"), attempt
+            # The first cell fills the one-byte budget; no other joins.
+            assert plane.rendered_answers_count == 1
+            assert plane.rendered_answers_bytes == sum(
+                map(len, plane.rendered_answers.values())
+            )
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+class TestBooleanItems:
+    """A JSON boolean is a per-item error on every path.  Taken as the
+    integer it subclasses, it used to answer as 0.0.0.1 and make Python
+    warn when the address was converted back to an int — a 500 wherever
+    warnings are errors, as here."""
+
+    @pytest.mark.parametrize("path", ["plane", "degraded", "no-plane"])
+    def test_booleans_are_per_item_errors(self, compiled_indexes, plane, path):
+        names = sorted(compiled_indexes)
+        indexes, expected = compiled_indexes, None
+        if path == "degraded":
+            indexes = {name: compiled_indexes[name] for name in names[1:]}
+            expected = names
+        reference = ServingEngine(indexes, expected=expected)
+        server, client = serve(
+            ServingEngine(
+                indexes,
+                plane=None if path == "no-plane" else plane,
+                expected=expected,
+            )
+        )
+        ips = [True, "41.0.0.2", False, 1]
+        try:
+            status, body = client.batch(ips, "booleans")
+            assert status == 200
+            assert body == reference_body(reference, ips, "booleans")
+            results = json.loads(body)["results"]
+            assert results[0] == {
+                "ip": "True",
+                "error": "not an IPv4 address: True",
+            }
+            assert results[2] == {
+                "ip": "False",
+                "error": "not an IPv4 address: False",
+            }
+            assert results[3]["ip"] == "0.0.0.1"
+        finally:
+            client.close()
+            server.stop()
+            reference.close()
 
 
 def _toy(city: str, region: str) -> dict[str, CompiledIndex]:
@@ -275,13 +374,24 @@ class TestEscapingAndSwap:
         try:
             _, body = client.batch(TOY_IPS, "before")
             assert body == reference_body(ServingEngine(old), TOY_IPS, "before")
-            memo = old_plane.rendered_record_count
+            memo = (
+                old_plane.rendered_record_count,
+                dict(old_plane.rendered_answers),
+                old_plane.rendered_answers_bytes,
+            )
+            assert memo[1]
             engine.swap(new, new_plane)
-            _, body = client.batch(TOY_IPS, "after")
-            assert body == reference_body(ServingEngine(new), TOY_IPS, "after")
-            assert "Berlin" not in body.decode("utf-8")
-            assert old_plane.rendered_record_count == memo
+            for attempt in ("after", "again"):  # a memo miss, then a hit
+                _, body = client.batch(TOY_IPS, attempt)
+                assert body == reference_body(ServingEngine(new), TOY_IPS, attempt)
+                assert "Berlin" not in body.decode("utf-8")
+            assert (
+                old_plane.rendered_record_count,
+                dict(old_plane.rendered_answers),
+                old_plane.rendered_answers_bytes,
+            ) == memo
             assert new_plane.rendered_record_count > 0
+            assert new_plane.rendered_answers_count > 0
         finally:
             client.close()
             server.stop()
