@@ -23,6 +23,8 @@ exact, with ``serve.consensus`` untouched.
 
 import http.client
 import json
+import sys
+import threading
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.geodb import GeoDatabase, GeoRecord, single_prefix
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs import MetricsRegistry
 from repro.serve import CompiledIndex, GeoServer, ServingEngine, compile_plane
+from repro.serve.http import _batch_answers
 
 from tests.serve.test_lookup_splice import CLASS_E, _answer
 
@@ -275,6 +278,33 @@ class TestAnswersMemo:
             assert plane.rendered_answers_bytes == sum(
                 map(len, plane.rendered_answers.values())
             )
+
+    def test_racing_fills_keep_the_byte_count_exact(self, compiled_indexes):
+        plane = compile_plane(compiled_indexes)
+        cells = [plane.probe(start) for start in plane.parts()[0]]
+        expected = _batch_answers(compile_plane(compiled_indexes), cells)
+        results: list = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(_batch_answers(plane, cells))
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(threads)
+        assert plane.rendered_answers_count == len({id(cell) for cell in cells})
+        assert plane.rendered_answers_bytes == sum(
+            map(len, plane.rendered_answers.values())
+        )
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
