@@ -29,7 +29,6 @@ import threading
 import pytest
 
 import repro.serve.plane as plane_module
-
 from repro.geodb import GeoDatabase, GeoRecord, single_prefix
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs import MetricsRegistry
@@ -255,7 +254,8 @@ class TestAnswersMemo:
     def test_hit_bodies_equal_miss_bodies(self, fresh, reference):
         plane, client = fresh
         starts = plane.parts()[0]
-        ips = [str(IPv4Address(start)) for start in starts[:: max(1, len(starts) // 200)]]
+        step = max(1, len(starts) // 200)
+        ips = [str(IPv4Address(start)) for start in starts[::step]]
         _, missed = client.batch(ips, "memo")
         filled = plane.rendered_answers_count, plane.rendered_answers_bytes
         assert filled[0] == len({id(plane.lookup(ip)) for ip in ips})
