@@ -3,7 +3,7 @@
 ``repro serve --snapshots/--store`` runs the modules below and nothing
 of the study: numpy, networkx, the pipeline and the topology builder
 are resident memory a serving process pays for and never uses.  The
-check runs in a fresh interpreter, since this test session has long
+check runs in a fresh interpreter, since the test process has long
 imported everything.  The packages that re-export the study lazily must
 still resolve every exported name.
 """
